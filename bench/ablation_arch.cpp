@@ -141,8 +141,8 @@ int main(int argc, char** argv) {
   if (trace::mode() != trace::Mode::Off) {
     const auto cfg = sxs::MachineConfig::sx4_benchmarked();
     sxs::Node node(cfg);
-    // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
-    bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
+    // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
+    bench::StreamTrace stream(rep, node);
     ccm2::Ccm2Config c;
     c.res = ccm2::t106l18();
     c.active_levels = 1;
@@ -150,8 +150,7 @@ int main(int argc, char** argv) {
     model.charge_sustained_equiv_gflops(32, 1);
     bench::print_attribution(std::cout, node);
     bench::report_attribution(rep, "ablation", node);
-    bench::write_chrome_trace_file(rep.trace_path(), node);
-    stream.finish(rep);
+    stream.finish();
   }
 
   return rep.finish(std::cout);

@@ -26,8 +26,8 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("ablation_ixs", argc, argv);
   const auto cfg = sxs::MachineConfig::sx4_benchmarked();
   sxs::Node node(cfg);
-  // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
-  bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
+  // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
+  bench::StreamTrace stream(rep, node);
 
   ccm2::Ccm2Config c;
   c.res = ccm2::t170l18();
@@ -93,7 +93,6 @@ int main(int argc, char** argv) {
   // Attribution covers the two measured T170 steps on the single node.
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "ablation_ixs", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
-  stream.finish(rep);
+  stream.finish();
   return rep.finish(std::cout);
 }

@@ -32,8 +32,8 @@ int main(int argc, char** argv) {
 
   const auto cfg = sxs::MachineConfig::sx4_benchmarked();
   sxs::Node node(cfg);
-  // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
-  bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
+  // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
+  bench::StreamTrace stream(rep, node);
   const bool full = rep.full_mode();
 
   print_banner(std::cout,
@@ -91,11 +91,6 @@ int main(int argc, char** argv) {
   // clears the collectors with the cycle counters. No-op when tracing is off.
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "fig8", node);
-  if (bench::write_chrome_trace_file(rep.trace_path(), node)) {
-    std::printf("chrome trace: %s\n", rep.trace_path().c_str());
-  }
-  if (stream.finish(rep)) {
-    std::printf("stream trace: %s\n", rep.aux_path("trace.sxt").c_str());
-  }
+  stream.finish();
   return rep.finish(std::cout);
 }

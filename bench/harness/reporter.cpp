@@ -9,7 +9,9 @@
 #include <iostream>
 #include <ostream>
 
+#include "common/error.hpp"
 #include "sxs/execution_policy.hpp"
+#include "trace/category.hpp"
 
 namespace ncar::bench {
 
@@ -41,6 +43,14 @@ std::string env_or(const char* var, const std::string& fallback) {
 
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
+  // Resolve the trace mode up front, so a malformed SX4NCAR_TRACE stops the
+  // run here with a message instead of throwing mid-run.
+  try {
+    trace::mode();
+  } catch (const config_error& e) {
+    std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
+    std::exit(2);
+  }
   // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=` forces
   // the quick mode (CTest uses this so runs match the committed baselines).
   const char* full = std::getenv("SX4NCAR_BENCH_FULL");

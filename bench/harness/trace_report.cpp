@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <filesystem>
-#include <fstream>
+#include <exception>
 #include <ostream>
 #include <vector>
 
@@ -47,9 +46,9 @@ void report_cpu_and_runtime(BenchReporter& rep, const std::string& prefix,
   report_rows(rep, prefix + ".attribution.node",
               trace::build_attribution(runtime), "seconds",
               /*fractions=*/false);
-  // Span buffers can saturate (SX4NCAR_TRACE_MAX_SPANS) or a stream sink
-  // can drop; surface the counts instead of letting a truncated trace
-  // read as a short run. Only span-recording modes can truncate, so
+  // A span recorded while no sink was attached is lost; surface the count
+  // (and the export's per-track cap) instead of letting a truncated trace
+  // read as a short run. Only span-recording modes can lose spans, so
   // summary-mode output stays unchanged.
   if (trace::spans_enabled(trace::mode())) {
     double dropped = 0.0;
@@ -86,31 +85,6 @@ void print_rows(std::ostream& os, const trace::Attribution& attr,
   os << line << "\n";
 }
 
-bool write_tracks(const std::string& path,
-                  const std::vector<trace::TraceTrack>& tracks) {
-  if (trace::mode() != trace::Mode::Full) return false;
-  const std::filesystem::path p(path);
-  if (p.has_parent_path()) {
-    std::filesystem::create_directories(p.parent_path());
-  }
-  std::ofstream out(path);
-  if (!out) return false;
-  trace::write_chrome_trace(out, tracks);
-  return out.good();
-}
-
-void append_node_tracks(std::vector<trace::TraceTrack>& tracks,
-                        const sxs::Node& node, int pid,
-                        const std::string& process_name) {
-  tracks.push_back({&node.runtime_trace(), pid, 0, process_name, "runtime"});
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    const trace::Collector& c = node.cpu(i).trace();
-    if (c.spans().empty()) continue;
-    tracks.push_back(
-        {&c, pid, i + 1, process_name, "cpu" + std::to_string(i)});
-  }
-}
-
 }  // namespace
 
 void report_attribution(BenchReporter& rep, const std::string& prefix,
@@ -143,62 +117,34 @@ void report_attribution(BenchReporter& rep, const std::string& prefix,
               unit, /*fractions=*/true);
 }
 
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node) {
-  std::vector<trace::TraceTrack> tracks;
-  append_node_tracks(tracks, node, 0, "node0");
-  return write_tracks(path, tracks);
-}
-
-bool write_chrome_trace_file(const std::string& path,
-                             const sxs::Machine& machine) {
-  std::vector<trace::TraceTrack> tracks;
-  for (int n = 0; n < machine.node_count(); ++n) {
-    append_node_tracks(tracks, machine.node(n), n,
-                       "node" + std::to_string(n));
-  }
-  return write_tracks(path, tracks);
-}
-
-bool write_chrome_trace_file(const std::string& path, const sxs::Node& node,
-                             const trace::Collector& extra_track,
-                             const std::string& extra_name) {
-  std::vector<trace::TraceTrack> tracks;
-  append_node_tracks(tracks, node, 0, "node0");
-  tracks.push_back({&extra_track, 1, 0, extra_name, extra_name});
-  return write_tracks(path, tracks);
-}
-
 void print_attribution(std::ostream& os, const sxs::Node& node) {
   if (trace::mode() == trace::Mode::Off) return;
   print_rows(os, trace::build_attribution(cpu_tracks(node)), "cycles");
 }
 
-StreamTrace::StreamTrace(const std::string& path, sxs::Node& node) {
-  if (trace::mode() != trace::Mode::Stream) return;
-  writer_ = trace::stream::Writer::open(path);
+StreamTrace::StreamTrace(BenchReporter& rep, sxs::Node& node) : rep_(rep) {
+  if (!trace::spans_enabled(trace::mode())) return;
+  writer_ = trace::stream::Writer::open(rep.aux_path("trace.sxt"));
   if (writer_ == nullptr) return;
-  attach_node(node, 0, "node0");
-}
-
-StreamTrace::StreamTrace(const std::string& path, sxs::Machine& machine) {
-  if (trace::mode() != trace::Mode::Stream) return;
-  writer_ = trace::stream::Writer::open(path);
-  if (writer_ == nullptr) return;
-  for (int n = 0; n < machine.node_count(); ++n) {
-    attach_node(machine.node(n), n, "node" + std::to_string(n));
+  trace::stream::Writer::TrackSpec spec;
+  spec.process_name = "node0";
+  spec.thread_name = "runtime";
+  attach(node.runtime_trace(), spec);
+  spec.skip_if_empty = true;
+  for (int i = 0; i < node.cpu_count(); ++i) {
+    spec.tid = i + 1;
+    spec.thread_name = "cpu" + std::to_string(i);
+    attach(node.cpu(i).trace(), spec);
   }
 }
 
-StreamTrace::StreamTrace(const std::string& path, sxs::Node& node,
+StreamTrace::StreamTrace(BenchReporter& rep, sxs::Node& node,
                          trace::Collector& extra_track,
-                         const std::string& extra_name) {
-  if (trace::mode() != trace::Mode::Stream) return;
-  writer_ = trace::stream::Writer::open(path);
+                         const std::string& extra_name)
+    : StreamTrace(rep, node) {
   if (writer_ == nullptr) return;
-  attach_node(node, 0, "node0");
   trace::stream::Writer::TrackSpec spec;
   spec.pid = 1;
-  spec.tid = 0;
   spec.process_name = extra_name;
   spec.thread_name = extra_name;
   attach(extra_track, spec);
@@ -207,25 +153,6 @@ StreamTrace::StreamTrace(const std::string& path, sxs::Node& node,
 StreamTrace::~StreamTrace() {
   for (trace::Collector* c : attached_) c->set_stream_sink(nullptr);
   // writer_ destructor finalises if finish() never ran.
-}
-
-void StreamTrace::attach_node(sxs::Node& node, int pid,
-                              const std::string& process_name) {
-  // Track order and identity mirror append_node_tracks exactly: runtime
-  // first on tid 0, then cpu i on tid i+1 with the Full-mode exporter's
-  // skip-empty-CPU-track rule carried as a footer flag.
-  trace::stream::Writer::TrackSpec spec;
-  spec.pid = pid;
-  spec.tid = 0;
-  spec.process_name = process_name;
-  spec.thread_name = "runtime";
-  attach(node.runtime_trace(), spec);
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    spec.tid = i + 1;
-    spec.thread_name = "cpu" + std::to_string(i);
-    spec.skip_if_empty = true;
-    attach(node.cpu(i).trace(), spec);
-  }
 }
 
 void StreamTrace::attach(trace::Collector& collector,
@@ -237,21 +164,34 @@ void StreamTrace::attach(trace::Collector& collector,
   attached_.push_back(&collector);
 }
 
-bool StreamTrace::finish(BenchReporter& rep) {
-  if (!active()) return false;
+void StreamTrace::finish() {
+  if (writer_ == nullptr) return;
   for (trace::Collector* c : attached_) c->set_stream_sink(nullptr);
   attached_.clear();
   const bool ok = writer_->finalize();
   const trace::stream::Writer::Stats& st = writer_->stats();
-  const std::string prefix = rep.name() + ".trace_stream";
+  const std::string prefix = rep_.name() + ".trace_stream";
   const double events = static_cast<double>(st.events);
   const double bytes = static_cast<double>(st.file_bytes);
-  rep.metric(prefix + ".events", events);
-  rep.metric(prefix + ".bytes", bytes, "bytes");
-  rep.metric(prefix + ".bytes_per_event", events > 0 ? bytes / events : 0.0);
-  rep.metric(prefix + ".dropped", static_cast<double>(st.dropped));
+  rep_.metric(prefix + ".events", events);
+  rep_.metric(prefix + ".bytes", bytes, "bytes");
+  rep_.metric(prefix + ".bytes_per_event", events > 0 ? bytes / events : 0.0);
+  rep_.metric(prefix + ".dropped", static_cast<double>(st.dropped));
   writer_.reset();
-  return ok;
+  const std::string sxt = rep_.aux_path("trace.sxt");
+  if (!ok) {
+    std::fprintf(stderr, "%s: failed to write %s\n", rep_.name().c_str(),
+                 sxt.c_str());
+    return;
+  }
+  std::printf("stream trace: %s\n", sxt.c_str());
+  if (trace::mode() != trace::Mode::Full) return;
+  try {
+    trace::convert_sxt_file(sxt, rep_.trace_path());
+    std::printf("chrome trace: %s\n", rep_.trace_path().c_str());
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "%s: %s\n", rep_.name().c_str(), e.what());
+  }
 }
 
 void print_attribution(std::ostream& os, const sxs::Machine& machine) {

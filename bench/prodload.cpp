@@ -53,10 +53,9 @@ int main(int argc, char** argv) {
   // Scheduler track collector — declared ahead of the component
   // measurements so the streaming sink can cover every span of the run.
   trace::Collector sched_trace;
-  // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
+  // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
   // The scheduler rides along as its own pid, like the Chrome export.
-  bench::StreamTrace stream(rep.aux_path("trace.sxt"), node, sched_trace,
-                            "scheduler");
+  bench::StreamTrace stream(rep, node, sched_trace, "scheduler");
 
   // Component service times. CPU widths: T42 on 2 CPUs, T106 on 8, T170 on
   // 16 — the static Resource-Block style allocation of the benchmark run.
@@ -145,8 +144,6 @@ int main(int argc, char** argv) {
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "prodload", node);
   bench::report_attribution(rep, "prodload.scheduler", sched_trace, "seconds");
-  bench::write_chrome_trace_file(rep.trace_path(), node, sched_trace,
-                                 "scheduler");
-  stream.finish(rep);
+  stream.finish();
   return rep.finish(std::cout);
 }

@@ -18,10 +18,17 @@
 // itself, reported as a host metric (omitted under --deterministic).
 //
 // Knobs (environment):
-//   SX4NCAR_YEAR_DAYS  simulated horizon in days (default 365)
-//   SX4NCAR_YEAR_SEED  RNG registry seed (default the kernel's)
+//   SX4NCAR_YEAR_DAYS  simulated horizon in days, a finite number above 0
+//                      (default 365)
+//   SX4NCAR_YEAR_SEED  RNG registry seed, a non-negative integer (default
+//                      0: the kernel's own)
+// A malformed value prints a message and exits 2.
 
+#include <cctype>
+#include <cerrno>
 #include <chrono>
+#include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <iostream>
@@ -39,9 +46,39 @@
 
 namespace {
 
-double env_double(const char* var, double fallback) {
-  const char* v = std::getenv(var);
-  return v && *v ? std::atof(v) : fallback;
+[[noreturn]] void bad_knob(const char* var, const char* value,
+                           const char* expected) {
+  std::fprintf(stderr, "prodload_year: %s=%s: expected %s\n", var, value,
+               expected);
+  std::exit(2);
+}
+
+/// SX4NCAR_YEAR_DAYS: a finite number of days above 0 (default 365).
+double year_days() {
+  const char* v = std::getenv("SX4NCAR_YEAR_DAYS");
+  if (v == nullptr || *v == '\0') return 365.0;
+  char* end = nullptr;
+  const double days = std::strtod(v, &end);
+  if (end == v || *end != '\0' || !std::isfinite(days * 86400.0) ||
+      days <= 0.0) {
+    bad_knob("SX4NCAR_YEAR_DAYS", v, "a finite number of days above 0");
+  }
+  return days;
+}
+
+/// SX4NCAR_YEAR_SEED: a non-negative integer (default 0, the kernel's own
+/// seed).
+std::uint64_t year_seed() {
+  const char* v = std::getenv("SX4NCAR_YEAR_SEED");
+  if (v == nullptr || *v == '\0') return 0;
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long seed = std::strtoull(v, &end, 10);
+  if (std::isdigit(static_cast<unsigned char>(*v)) == 0 || *end != '\0' ||
+      errno == ERANGE) {
+    bad_knob("SX4NCAR_YEAR_SEED", v, "a non-negative integer");
+  }
+  return seed;
 }
 
 /// The job mix: CCM2-flavoured classes sized so the node runs at roughly
@@ -74,13 +111,11 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("prodload_year", argc, argv);
   const auto machine = sxs::MachineConfig::sx4_benchmarked();
 
-  const double days = env_double("SX4NCAR_YEAR_DAYS", 365.0);
-  const double seed_d = env_double("SX4NCAR_YEAR_SEED", 0.0);
+  const double days = year_days();
+  const std::uint64_t seed = year_seed();
   const Seconds horizon(days * 86400.0);
 
-  des::Simulation sim = seed_d != 0.0
-                            ? des::Simulation(static_cast<std::uint64_t>(seed_d))
-                            : des::Simulation();
+  des::Simulation sim = seed != 0 ? des::Simulation(seed) : des::Simulation();
   prodload::NodeLp node(sim, machine.cpus_per_node,
                         machine.bank_contention_per_cpu);
   prodload::QueueComplexLp nqs(

@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("table5_ccm2_year", argc, argv);
   const auto cfg = sxs::MachineConfig::sx4_benchmarked();
   sxs::Node node(cfg);
-  // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
-  bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
+  // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
+  bench::StreamTrace stream(rep, node);
   iosim::DiskSystem disk;
 
   print_banner(std::cout, "Table 5: one-year simulation time, SX-4/32");
@@ -75,7 +75,6 @@ int main(int argc, char** argv) {
   // Attribution covers the T63L18 measurement (last node.reset()).
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "table5", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
-  stream.finish(rep);
+  stream.finish();
   return rep.finish(std::cout);
 }

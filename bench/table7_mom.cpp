@@ -27,8 +27,8 @@ int main(int argc, char** argv) {
   bench::BenchReporter rep("table7_mom", argc, argv);
   const auto cfg = sxs::MachineConfig::sx4_benchmarked();
   sxs::Node node(cfg);
-  // Streaming trace sink (SX4NCAR_TRACE=stream); inactive in other modes.
-  bench::StreamTrace stream(rep.aux_path("trace.sxt"), node);
+  // Trace session (SX4NCAR_TRACE=full|stream); inactive in other modes.
+  bench::StreamTrace stream(rep, node);
   ocean::Mom mom(ocean::MomConfig::high_resolution(), node);
 
   print_banner(std::cout, "Table 7: MOM 1-degree x 45-level, 350 timesteps");
@@ -88,7 +88,6 @@ int main(int argc, char** argv) {
   // Attribution covers the last sweep point (32 CPUs, charge replay).
   bench::print_attribution(std::cout, node);
   bench::report_attribution(rep, "table7", node);
-  bench::write_chrome_trace_file(rep.trace_path(), node);
-  stream.finish(rep);
+  stream.finish();
   return rep.finish(std::cout);
 }

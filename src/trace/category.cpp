@@ -3,6 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ncar::trace {
 
@@ -45,7 +48,9 @@ Mode mode_from_env(const char* value) {
   if (std::strcmp(value, "summary") == 0) return Mode::Summary;
   if (std::strcmp(value, "full") == 0) return Mode::Full;
   if (std::strcmp(value, "stream") == 0) return Mode::Stream;
-  return Mode::Off;
+  if (std::strcmp(value, "off") == 0) return Mode::Off;
+  throw config_error(std::string("SX4NCAR_TRACE=") + value +
+                     ": expected off|summary|full|stream");
 }
 
 namespace {

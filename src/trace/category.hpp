@@ -80,22 +80,31 @@ constexpr bool is_charged_category(Category c) {
 enum class Mode : std::uint8_t {
   Off,      ///< aggregate counters only, nothing exported
   Summary,  ///< + refined splits and attribution tables in bench JSON
-  Full,     ///< + per-span buffers and Chrome trace export
+  Full,     ///< + Stream, then the .sxt converted to Chrome trace JSON
   Stream,   ///< + spans streamed to a binary .sxt sink (trace/stream/)
 };
 
-/// True when the current mode records spans at all — Full keeps them in the
-/// Collector's in-memory buffer, Stream forwards them to the attached
-/// binary sink. Summary/Off record counters only.
+/// True when the current mode records spans at all. Full and Stream
+/// record identically — spans go to the Collector's attached .sxt sink —
+/// and differ only in what the bench harness does with the finished file.
+/// Summary/Off record counters only.
 constexpr bool spans_enabled(Mode m) {
   return m == Mode::Full || m == Mode::Stream;
 }
 
+/// Per-track span cap of the Chrome trace export: a track keeps its first
+/// kMaxSpansPerTrack spans and counts the rest as dropped. The .sxt file
+/// itself keeps every span.
+inline constexpr std::uint64_t kMaxSpansPerTrack = 65536;
+
 /// Pure parse of the SX4NCAR_TRACE value ("off" | "summary" | "full" |
-/// "stream"; unset/empty/unknown -> Off). Exposed for tests.
+/// "stream"; unset/empty -> Off). Throws ncar::config_error naming the
+/// accepted values for anything else. Exposed for tests.
 Mode mode_from_env(const char* value);
 
-/// Process-wide tracing mode: initialised from SX4NCAR_TRACE on first use.
+/// Process-wide tracing mode: initialised from SX4NCAR_TRACE on first use
+/// (so the first call throws config_error for a malformed value; mains
+/// call it up front and exit 2 on that error).
 Mode mode();
 
 /// Override the process-wide mode (tests and bench mains).

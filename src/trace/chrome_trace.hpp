@@ -1,41 +1,44 @@
 #pragma once
 // Chrome trace_event exporter.
 //
-// Serialises recorded spans as a JSON object trace
-// ({"traceEvents":[...]}) in the Trace Event Format understood by
-// Perfetto and chrome://tracing. Mapping:
+// Serialises the spans of a decoded .sxt file (trace/stream/reader.hpp) as
+// a JSON object trace ({"traceEvents":[...]}) in the Trace Event Format
+// understood by Perfetto and chrome://tracing. This is the only exporter:
+// SX4NCAR_TRACE=full converts the run's finished .sxt through it, and so
+// does `sxtrace convert`. Mapping:
 //   * one pid per node (process_name metadata, e.g. "node0"),
 //   * one tid per track within the node (thread_name metadata, "cpu3",
 //     "runtime", "sfs", "scheduler", ...),
-//   * every Span becomes a complete event (ph "X") whose name is the op
+//   * every span becomes a complete event (ph "X") whose name is the op
 //     tag and whose cat is the Category name, with ts/dur in microseconds
 //     of simulated time (ticks * seconds_per_tick * 1e6).
 //
-// Output is deterministic: tracks are emitted in caller order, spans in
+// A track keeps at most its recorded max_spans spans (the first ones, in
+// record order); the rest, plus any spans the sink dropped, are reported in
+// a trace_dropped_spans metadata event, so a truncated trace never reads
+// as a short run. Tracks flagged skip-if-empty that carry no spans are
+// omitted (the empty-CPU-track rule).
+//
+// Output is deterministic: tracks are emitted in file order, spans in
 // record order, and doubles are rendered with the shortest round-trip
 // representation (std::to_chars), so byte-comparing two trace files is a
 // valid determinism check.
 
 #include <iosfwd>
-#include <span>
 #include <string>
 
-#include "trace/collector.hpp"
+#include "trace/stream/reader.hpp"
 
 namespace ncar::trace {
 
-/// One timeline row of the exported trace.
-struct TraceTrack {
-  const Collector* collector = nullptr;
-  int pid = 0;                ///< process id (node index)
-  int tid = 0;                ///< thread id within the process (cpu index)
-  std::string process_name;   ///< e.g. "node0"
-  std::string thread_name;    ///< e.g. "cpu3"
-};
+/// Write the trace JSON for every track of `file` to `os`.
+void write_chrome_trace(std::ostream& os, const stream::SxtFile& file);
 
-/// Write the full trace JSON for `tracks` to `os`.
-void write_chrome_trace(std::ostream& os,
-                        std::span<const TraceTrack> tracks);
+/// Read the .sxt at `sxt_path` and write its trace JSON to `json_path`.
+/// Throws stream::FormatError when the input cannot be read or parsed,
+/// std::runtime_error when the output cannot be written.
+void convert_sxt_file(const std::string& sxt_path,
+                      const std::string& json_path);
 
 /// Shortest round-trip decimal rendering of `v` (exposed for tests; the
 /// bench harness JSON writer follows the same convention, so attribution

@@ -27,7 +27,7 @@
 //                varint final_epoch
 //                varint live_records  records in the final epoch
 //                varint dropped       spans the sink had to discard
-//                varint max_spans     the Collector's configured span cap
+//                varint max_spans     the Chrome export's span cap
 //                varint tag_count, then per tag: varint len + bytes
 //              then varint total_chunks, varint total_records (all
 //              epochs), varint total_payload_bytes
@@ -53,11 +53,17 @@
 // any layout change; readers reject versions they do not know
 // ("sxt: unsupported version") rather than guessing. Unknown footer flag
 // bits are reserved-zero in v1 and readers must ignore them. Drop
-// semantics: a sink that cannot hand records to the writer (no writer
-// attached, or the file write failed) counts the span in `dropped`
-// instead of blocking the charge path; converted traces surface the count
-// as Chrome metadata, exactly like the in-memory exporter does for
-// SX4NCAR_TRACE_MAX_SPANS saturation.
+// semantics: a sink that cannot hand records to the writer (the file write
+// failed) counts the spans in `dropped` instead of blocking the charge
+// path. The file keeps every span it was handed; the Chrome export keeps
+// the first max_spans of each track and surfaces both counts as metadata.
+//
+// Chunk order follows host flush order: tracks fill their rings at
+// different rates and, under threaded host execution, hand chunks to the
+// writer in whatever order the ranks reach them. The same run can
+// therefore produce differently ordered (and differently hashed) files,
+// while the decoded per-track spans and the converted JSON are
+// byte-identical.
 
 #include <cstddef>
 #include <cstdint>

@@ -1,11 +1,12 @@
 #pragma once
 // TrackSink — the per-track (per-CPU) staging ring of the streaming sink.
 //
-// One TrackSink backs one Collector in SX4NCAR_TRACE=stream mode, under
-// the same single-writer discipline: only the rank that owns the Cpu
-// touches its sink, so record() needs no synchronisation. The ring is a
-// fixed preallocated array of RawRecords; the per-span path writes one
-// slot and bumps a counter — no allocation, no branching on file state.
+// One TrackSink backs one Collector in SX4NCAR_TRACE=full and =stream
+// mode, under the same single-writer discipline: only the rank that owns
+// the Cpu touches its sink, so record() needs no synchronisation. The ring
+// is a fixed preallocated array of RawRecords; the per-span path writes
+// one slot and bumps a counter — no allocation, no branching on file
+// state.
 // When the ring fills, the sink encodes it (codec.hpp) into preallocated
 // scratch and hands the raw chunk to the Writer, which serialises file
 // appends behind a mutex. Only that once-per-chunk handoff contends; the
@@ -15,12 +16,10 @@
 // Epochs mirror Collector::reset: resetting a collector abandons its
 // pending ring and bumps the sink's epoch, so chunks written before the
 // reset become dead weight that Writer::finalize compacts away — the
-// converted trace shows exactly what the in-memory exporter would have
-// shown (spans since the last reset).
+// converted trace shows the spans since the last reset.
 //
-// Drops are counted, never blocking: when no writer is attached or a file
-// write has failed, the span is discarded and dropped() grows, exactly
-// like the in-memory buffer saturating at SX4NCAR_TRACE_MAX_SPANS.
+// Drops are counted, never blocking: when a file write has failed, the
+// chunk's spans are discarded and dropped() grows.
 
 #include <array>
 #include <cstddef>

@@ -1,7 +1,6 @@
 #include "trace/stream/writer.hpp"
 
 #include <bit>
-#include <cstdlib>
 #include <filesystem>
 
 #include "trace/stream/entropy.hpp"
@@ -13,26 +12,6 @@ namespace ncar::trace::stream {
 namespace {
 
 constexpr std::size_t kDefaultChunkRecords = 4096;
-constexpr std::size_t kMinChunkRecords = 16;
-constexpr std::size_t kMaxChunkRecords = 1u << 20;
-
-std::size_t chunk_records_from_env() {
-  const char* env = std::getenv("SX4NCAR_TRACE_STREAM_CHUNK");
-  if (env == nullptr || *env == '\0') return kDefaultChunkRecords;
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(env, &end, 10);
-  if (end == env || *end != '\0') return kDefaultChunkRecords;
-  if (v < kMinChunkRecords) return kMinChunkRecords;
-  if (v > kMaxChunkRecords) return kMaxChunkRecords;
-  return static_cast<std::size_t>(v);
-}
-
-bool pack_from_env() {
-  const char* env = std::getenv("SX4NCAR_TRACE_STREAM_PACK");
-  if (env == nullptr || *env == '\0') return true;
-  const std::string v(env);
-  return !(v == "0" || v == "off" || v == "false");
-}
 
 void append_varint(std::vector<std::uint8_t>& out, std::uint64_t v) {
   std::uint8_t scratch[kMaxVarintBytes];
@@ -64,8 +43,8 @@ std::unique_ptr<Writer> Writer::open(const std::string& path, Options opt) {
   if (!file.is_open()) return nullptr;
 
   const std::size_t chunk_records =
-      opt.chunk_records != 0 ? opt.chunk_records : chunk_records_from_env();
-  const bool pack = opt.pack >= 0 ? opt.pack != 0 : pack_from_env();
+      opt.chunk_records != 0 ? opt.chunk_records : kDefaultChunkRecords;
+  const bool pack = opt.pack != 0;
   return std::unique_ptr<Writer>(
       new Writer(path, std::move(file), chunk_records, pack));
 }

@@ -5,13 +5,13 @@
 // chunks as their rings fill (append_chunk, mutex-serialised); finalize()
 // flushes the partial rings, then rewrites the chunk stream in one pass:
 // chunks from dead epochs (spans recorded before the last
-// Collector::reset, which the in-memory exporter would not have shown
-// either) are dropped, and survivors are entropy-packed. Packing at
-// finalize rather than on the charge path keeps the in-run cost to the
-// stage-1 encode and never spends coder time on records a reset is about
-// to discard. The file on disk is a valid chunk stream at all times
-// before the footer, so a crashed run leaves a prefix a tolerant reader
-// could still scan (raw chunks only, which is also the robust choice).
+// Collector::reset, which a converted trace must not show) are dropped,
+// and survivors are entropy-packed. Packing at finalize rather than on the
+// charge path keeps the in-run cost to the stage-1 encode and never spends
+// coder time on records a reset is about to discard. The file on disk is a
+// valid chunk stream at all times before the footer, so a crashed run
+// leaves a prefix a tolerant reader could still scan (raw chunks only,
+// which is also the robust choice).
 
 #include <cstddef>
 #include <cstdint>
@@ -27,8 +27,8 @@ namespace ncar::trace::stream {
 
 class Writer {
 public:
-  /// Track identity as it lands in the footer; mirrors harness
-  /// TraceTrack so the converter can rebuild the exporter's inputs.
+  /// Track identity as it lands in the footer: everything the Chrome
+  /// exporter needs besides the spans themselves.
   struct TrackSpec {
     int pid = 0;
     int tid = 0;
@@ -36,12 +36,12 @@ public:
     std::string thread_name;
     double seconds_per_tick = 1.0;
     bool skip_if_empty = false;  ///< empty-CPU-track rule of the exporter
-    std::uint64_t max_spans = 0;
+    std::uint64_t max_spans = kMaxSpansPerTrack;  ///< export cap
   };
 
   struct Options {
-    std::size_t chunk_records = 0;  ///< 0: SX4NCAR_TRACE_STREAM_CHUNK / 4096
-    int pack = -1;                  ///< -1: SX4NCAR_TRACE_STREAM_PACK / on
+    std::size_t chunk_records = 0;  ///< ring size; 0 means 4096
+    int pack = -1;                  ///< entropy stage; -1 means on
   };
 
   struct Stats {

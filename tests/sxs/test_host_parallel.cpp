@@ -5,7 +5,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -229,13 +231,31 @@ TEST(ExecutionPolicyEnv, PolicyParsing) {
   EXPECT_EQ(policy_from_env("garbage"), ExecutionPolicy::Threaded);
 }
 
+/// configured_host_threads() with SX4NCAR_HOST_THREADS set to `value`
+/// (unset for nullptr); the caller's setting is restored afterwards.
+int host_threads_with(const char* value) {
+  const char* before = std::getenv("SX4NCAR_HOST_THREADS");
+  const std::string saved = before != nullptr ? before : "";
+  if (value != nullptr) {
+    setenv("SX4NCAR_HOST_THREADS", value, 1);
+  } else {
+    unsetenv("SX4NCAR_HOST_THREADS");
+  }
+  const int threads = ThreadPool::configured_host_threads();
+  if (before != nullptr) {
+    setenv("SX4NCAR_HOST_THREADS", saved.c_str(), 1);
+  } else {
+    unsetenv("SX4NCAR_HOST_THREADS");
+  }
+  return threads;
+}
+
 TEST(ExecutionPolicyEnv, ThreadCountParsing) {
-  using ncar::sxs::threads_from_env;
-  EXPECT_EQ(threads_from_env("8"), 8);
-  EXPECT_EQ(threads_from_env("1"), 1);
-  EXPECT_EQ(threads_from_env("0"), 1);   // clamped
-  EXPECT_GE(threads_from_env(nullptr), 1);
-  EXPECT_GE(threads_from_env("nonsense"), 1);
+  EXPECT_EQ(host_threads_with("8"), 8);
+  EXPECT_EQ(host_threads_with("1"), 1);
+  EXPECT_EQ(host_threads_with("0"), 1);  // clamped
+  EXPECT_GE(host_threads_with(nullptr), 1);
+  EXPECT_GE(host_threads_with("nonsense"), 1);
 }
 
 TEST(ExecutionPolicyEnv, Names) {

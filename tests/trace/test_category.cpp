@@ -6,6 +6,8 @@
 #include <set>
 #include <string>
 
+#include "common/error.hpp"
+
 namespace {
 
 using namespace ncar;
@@ -60,7 +62,16 @@ TEST(Mode, ParsesEnvValues) {
   EXPECT_EQ(trace::mode_from_env("off"), Mode::Off);
   EXPECT_EQ(trace::mode_from_env("summary"), Mode::Summary);
   EXPECT_EQ(trace::mode_from_env("full"), Mode::Full);
-  EXPECT_EQ(trace::mode_from_env("bogus"), Mode::Off);
+  EXPECT_EQ(trace::mode_from_env("stream"), Mode::Stream);
+  // Anything else is an error naming the accepted values, not a silent Off.
+  try {
+    trace::mode_from_env("bogus");
+    FAIL() << "SX4NCAR_TRACE=bogus was accepted";
+  } catch (const ncar::config_error& e) {
+    EXPECT_NE(std::string(e.what()).find("off|summary|full|stream"),
+              std::string::npos);
+  }
+  EXPECT_THROW(trace::mode_from_env("Full"), ncar::config_error);
 }
 
 TEST(Mode, SetModeOverrides) {

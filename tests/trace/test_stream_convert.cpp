@@ -1,26 +1,24 @@
-// The streaming subsystem's core correctness claim: for the same model
-// run, SX4NCAR_TRACE=stream → .sxt → sxtrace conversion produces Chrome
-// trace JSON byte-identical to what SX4NCAR_TRACE=full writes live. The
-// tests mirror the bench harness's track layout (trace_report.cpp):
-// runtime on tid 0 always, cpu i on tid i+1 with the skip-empty rule.
+// The conversion contract: SX4NCAR_TRACE=full and =stream capture a run
+// the same way — through per-track sinks into a .sxt — and the Chrome JSON
+// converted from the file does not depend on the mode, on how the sinks cut
+// the stream into chunks, or on whether the entropy stage packed them. A
+// mid-run Collector::reset leaves exactly the spans a capture started at
+// the reset would hold. The tests use the bench harness's track layout
+// (trace_report.cpp): runtime on tid 0 always, cpu i on tid i+1 with the
+// skip-empty rule.
 
 #include <gtest/gtest.h>
 
-#include <memory>
-#include <sstream>
+#include <cstddef>
 #include <string>
-#include <vector>
 
+#include "capture.hpp"
 #include "ccm2/model.hpp"
 #include "ocean/mom.hpp"
 #include "sxs/execution_policy.hpp"
 #include "sxs/machine_config.hpp"
 #include "sxs/node.hpp"
 #include "trace/category.hpp"
-#include "trace/chrome_trace.hpp"
-#include "trace/collector.hpp"
-#include "trace/stream/convert.hpp"
-#include "trace/stream/reader.hpp"
 #include "trace/stream/writer.hpp"
 
 namespace {
@@ -28,129 +26,97 @@ namespace {
 using namespace ncar;
 using trace::Mode;
 using trace::stream::Writer;
+using trace::testing::Capture;
+using trace::testing::ModeGuard;
 
-class ModeGuard {
-public:
-  explicit ModeGuard(Mode m) : before_(trace::mode()) { trace::set_mode(m); }
-  ~ModeGuard() { trace::set_mode(before_); }
+std::string temp_path(const std::string& name) {
+  return ::testing::TempDir() + name;
+}
 
-private:
-  Mode before_;
-};
-
-/// Attach every collector of `node` to `writer` with the exact track
-/// identities the bench harness uses (StreamTrace::attach_node).
-std::vector<trace::Collector*> attach_node(Writer& writer, sxs::Node& node) {
-  std::vector<trace::Collector*> attached;
-  Writer::TrackSpec spec;
-  spec.pid = 0;
-  spec.process_name = "node0";
-  auto attach = [&](trace::Collector& c) {
-    Writer::TrackSpec full = spec;
-    full.seconds_per_tick = c.seconds_per_tick();
-    full.max_spans = c.max_spans();
-    c.set_stream_sink(&writer.add_track(full));
-    attached.push_back(&c);
-  };
-  spec.tid = 0;
-  spec.thread_name = "runtime";
-  attach(node.runtime_trace());
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    spec.tid = i + 1;
-    spec.thread_name = "cpu" + std::to_string(i);
-    spec.skip_if_empty = true;
-    attach(node.cpu(i).trace());
+std::size_t count_events(const std::string& json) {
+  std::size_t n = 0;
+  for (std::size_t pos = json.find("\"ph\":\"X\""); pos != std::string::npos;
+       pos = json.find("\"ph\":\"X\"", pos + 1)) {
+    ++n;
   }
-  return attached;
+  return n;
 }
 
-/// The live Full-mode export with the harness's track layout
-/// (append_node_tracks): runtime always, CPU tracks only when non-empty.
-std::string render_full(const sxs::Node& node) {
-  std::vector<trace::TraceTrack> tracks;
-  tracks.push_back({&node.runtime_trace(), 0, 0, "node0", "runtime"});
-  for (int i = 0; i < node.cpu_count(); ++i) {
-    const trace::Collector& c = node.cpu(i).trace();
-    if (c.spans().empty()) continue;
-    tracks.push_back({&c, 0, i + 1, "node0", "cpu" + std::to_string(i)});
-  }
-  std::ostringstream os;
-  trace::write_chrome_trace(
-      os, std::span<const trace::TraceTrack>(tracks.data(), tracks.size()));
-  return os.str();
-}
-
-std::string convert_sxt(const std::string& path) {
-  const trace::stream::SxtFile file = trace::stream::read_sxt_file(path);
-  std::ostringstream os;
-  trace::stream::write_chrome_json(file, os);
-  return os.str();
-}
-
-/// Run `model_fn(node)` once in Full mode rendering the live JSON, and
-/// once in Stream mode converting the .sxt — the two must match byte for
-/// byte.
+/// Run `model_fn(node)` on a fresh node captured in `mode` with writer
+/// options `opt`, and return the converted JSON.
 template <typename ModelFn>
-void expect_convert_byte_identical(const std::string& sxt_path,
+std::string capture_json(const std::string& sxt_path, Mode mode,
+                         Writer::Options opt, ModelFn model_fn) {
+  ModeGuard g(mode);
+  sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
+                 sxs::ExecutionPolicy::Sequential);
+  Capture cap(sxt_path, opt);
+  cap.attach_node(node);
+  model_fn(node);
+  const std::string json = cap.chrome_json();
+  EXPECT_EQ(cap.stats().dropped, 0u);
+  EXPECT_EQ(count_events(json), cap.stats().events);
+  return json;
+}
+
+/// Full mode with the default writer against Stream mode with small raw
+/// chunks: the converted JSON must match byte for byte.
+template <typename ModelFn>
+void expect_convert_byte_identical(const std::string& name,
                                    ModelFn model_fn) {
-  std::string live;
-  {
-    ModeGuard g(Mode::Full);
-    sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
-                   sxs::ExecutionPolicy::Sequential);
-    model_fn(node);
-    live = render_full(node);
-  }
-  std::string converted;
-  {
-    ModeGuard g(Mode::Stream);
-    sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
-                   sxs::ExecutionPolicy::Sequential);
-    auto writer = Writer::open(sxt_path);
-    ASSERT_NE(writer, nullptr);
-    const auto attached = attach_node(*writer, node);
-    model_fn(node);
-    for (trace::Collector* c : attached) c->set_stream_sink(nullptr);
-    ASSERT_TRUE(writer->finalize());
-    EXPECT_EQ(writer->stats().dropped, 0u);
-    converted = convert_sxt(sxt_path);
-  }
-  ASSERT_FALSE(live.empty());
-  EXPECT_EQ(converted, live);
+  const std::string full = capture_json(temp_path(name + "_full.sxt"),
+                                        Mode::Full, Writer::Options(),
+                                        model_fn);
+  Writer::Options raw;
+  raw.chunk_records = 16;
+  raw.pack = 0;
+  const std::string stream =
+      capture_json(temp_path(name + "_stream.sxt"), Mode::Stream, raw,
+                   model_fn);
+  ASSERT_GT(count_events(full), 0u);
+  EXPECT_EQ(stream, full);
 }
 
 TEST(StreamConvert, Ccm2TraceByteIdentical) {
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_ccm2.sxt", [](sxs::Node& node) {
-        ccm2::Ccm2Config c;
-        c.res = ccm2::t42l18();
-        c.active_levels = 1;
-        ccm2::Ccm2 model(c, node);
-        for (int s = 0; s < 2; ++s) model.step(8);
-      });
+  expect_convert_byte_identical("convert_ccm2", [](sxs::Node& node) {
+    ccm2::Ccm2Config c;
+    c.res = ccm2::t42l18();
+    c.active_levels = 1;
+    ccm2::Ccm2 model(c, node);
+    for (int s = 0; s < 2; ++s) model.step(8);
+  });
 }
 
 TEST(StreamConvert, MomTraceByteIdentical) {
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_mom.sxt", [](sxs::Node& node) {
-        ocean::Mom model(ocean::MomConfig::low_resolution(), node);
-        for (int s = 0; s < 2; ++s) model.step(8);
-      });
+  expect_convert_byte_identical("convert_mom", [](sxs::Node& node) {
+    ocean::Mom model(ocean::MomConfig::low_resolution(), node);
+    for (int s = 0; s < 2; ++s) model.step(8);
+  });
 }
 
 TEST(StreamConvert, ResetMatchesLiveExportToo) {
-  // A mid-run Collector::reset discards in-memory spans in Full mode and
-  // dead epochs in Stream mode; the converted trace must still match.
-  expect_convert_byte_identical(
-      ::testing::TempDir() + "convert_reset.sxt", [](sxs::Node& node) {
-        ccm2::Ccm2Config c;
-        c.res = ccm2::t42l18();
-        c.active_levels = 1;
-        ccm2::Ccm2 model(c, node);
-        model.step(8);
-        node.reset();
-        model.step(8);
-      });
+  // One capture spans a mid-run node.reset(); its dead epoch is compacted
+  // away. The other attaches only after the reset. Same JSON.
+  ModeGuard g(Mode::Full);
+  ccm2::Ccm2Config c;
+  c.res = ccm2::t42l18();
+  c.active_levels = 1;
+  auto run = [&](bool attach_before_reset, const std::string& path) {
+    sxs::Node node(sxs::MachineConfig::sx4_benchmarked(),
+                   sxs::ExecutionPolicy::Sequential);
+    Capture cap(path);
+    if (attach_before_reset) cap.attach_node(node);
+    ccm2::Ccm2 model(c, node);
+    model.step(8);
+    node.reset();
+    if (!attach_before_reset) cap.attach_node(node);
+    model.step(8);
+    return cap.chrome_json();
+  };
+  const std::string compacted = run(true, temp_path("convert_reset.sxt"));
+  const std::string after = run(false, temp_path("convert_after.sxt"));
+  ASSERT_GT(count_events(after), 0u);
+  EXPECT_EQ(compacted, after);
 }
 
 }  // namespace

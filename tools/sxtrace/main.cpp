@@ -1,24 +1,26 @@
 // sxtrace — offline toolbox for .sxt binary streaming traces.
 //
 //   sxtrace convert <in.sxt> <out.json>   .sxt -> Chrome trace_event JSON,
-//                                         byte-identical to the live
-//                                         SX4NCAR_TRACE=full export of the
-//                                         same spans (drops permitting)
+//                                         the same conversion that
+//                                         SX4NCAR_TRACE=full runs at the
+//                                         end of a bench
 //   sxtrace stats <in.sxt>                events, bytes, bytes/event, the
 //                                         compression ratio against the
 //                                         equivalent Chrome JSON, drops
 //
 // Exit code 0 on success; 1 with a one-line "sxtrace: ..." diagnostic on
 // usage errors, unreadable/corrupt input (the reader's exact "sxt: ..."
-// message is passed through), or output I/O failure.
+// message is passed through), or output I/O failure; 2 when SX4NCAR_TRACE
+// holds a value other than off|summary|full|stream.
 
 #include <cstdio>
 #include <exception>
-#include <fstream>
 #include <sstream>
 #include <string>
 
-#include "trace/stream/convert.hpp"
+#include "common/error.hpp"
+#include "trace/category.hpp"
+#include "trace/chrome_trace.hpp"
 #include "trace/stream/reader.hpp"
 
 namespace {
@@ -28,23 +30,6 @@ int usage() {
                "usage: sxtrace convert <in.sxt> <out.json>\n"
                "       sxtrace stats <in.sxt>\n");
   return 1;
-}
-
-int convert(const std::string& in_path, const std::string& out_path) {
-  const ncar::trace::stream::SxtFile file =
-      ncar::trace::stream::read_sxt_file(in_path);
-  std::ofstream out(out_path, std::ios::binary);
-  if (!out.is_open()) {
-    std::fprintf(stderr, "sxtrace: cannot open %s\n", out_path.c_str());
-    return 1;
-  }
-  ncar::trace::stream::write_chrome_json(file, out);
-  out.flush();
-  if (!out) {
-    std::fprintf(stderr, "sxtrace: write failed: %s\n", out_path.c_str());
-    return 1;
-  }
-  return 0;
 }
 
 int stats(const std::string& in_path) {
@@ -63,7 +48,7 @@ int stats(const std::string& in_path) {
   // The honest compression baseline: render the very JSON `convert` would
   // emit and compare sizes.
   std::ostringstream json;
-  ncar::trace::stream::write_chrome_json(file, json);
+  ncar::trace::write_chrome_trace(json, file);
   const std::uint64_t json_bytes = json.str().size();
 
   const double bytes = static_cast<double>(file.stats.file_bytes);
@@ -90,12 +75,19 @@ int stats(const std::string& in_path) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  try {
+    ncar::trace::mode();
+  } catch (const ncar::config_error& e) {
+    std::fprintf(stderr, "sxtrace: %s\n", e.what());
+    return 2;
+  }
   if (argc < 2) return usage();
   const std::string cmd = argv[1];
   try {
     if (cmd == "convert") {
       if (argc != 4) return usage();
-      return convert(argv[2], argv[3]);
+      ncar::trace::convert_sxt_file(argv[2], argv[3]);
+      return 0;
     }
     if (cmd == "stats") {
       if (argc != 3) return usage();
