@@ -43,10 +43,12 @@ std::string env_or(const char* var, const std::string& fallback) {
 
 BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     : name_(std::move(name)), start_(std::chrono::steady_clock::now()) {
-  // Resolve the trace mode up front, so a malformed SX4NCAR_TRACE stops the
+  // Resolve the trace mode, SIMD backend and host threads up front, so a
+  // malformed SX4NCAR_TRACE, SX4NCAR_SIMD or SX4NCAR_HOST_THREADS stops the
   // run here with a message instead of throwing mid-run.
   try {
     trace::mode();
+    host_execution_ = sxs::host_execution_summary();
   } catch (const config_error& e) {
     std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
     std::exit(2);
@@ -83,7 +85,6 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     }
   }
 
-  host_execution_ = sxs::host_execution_summary();
   std::cout << "host execution: " << host_execution_ << "\n\n";
 }
 

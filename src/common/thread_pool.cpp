@@ -3,7 +3,11 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string>
+
+#include "common/error.hpp"
 
 namespace ncar {
 
@@ -111,13 +115,24 @@ void ThreadPool::parallel_for(int n, const std::function<void(int)>& fn) {
   if (b->error) std::rethrow_exception(b->error);
 }
 
+std::optional<int> ThreadPool::parse_host_threads(const char* value) {
+  if (value == nullptr || *value == '\0') return std::nullopt;
+  const std::size_t len = std::strlen(value);
+  const bool digits = len <= 4 && std::all_of(value, value + len, [](char c) {
+                        return c >= '0' && c <= '9';
+                      });
+  const int n = digits ? std::atoi(value) : -1;
+  if (n < 0 || n > 1024) {
+    throw config_error(std::string("SX4NCAR_HOST_THREADS=") + value +
+                       ": expected an integer in [0, 1024]");
+  }
+  return n;
+}
+
 int ThreadPool::configured_host_threads() {
-  if (const char* env = std::getenv("SX4NCAR_HOST_THREADS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && *end == '\0') {
-      return static_cast<int>(std::clamp(n, 1L, 1024L));
-    }
+  if (const std::optional<int> n =
+          parse_host_threads(std::getenv("SX4NCAR_HOST_THREADS"))) {
+    return std::max(*n, 1);
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -19,6 +19,7 @@
 #include <functional>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <thread>
 #include <vector>
 
@@ -48,9 +49,16 @@ public:
   /// threads on first use.
   static ThreadPool& global();
 
-  /// Host thread count from SX4NCAR_HOST_THREADS, falling back to
-  /// std::thread::hardware_concurrency() when unset or unparsable.
+  /// Host thread count from SX4NCAR_HOST_THREADS (0 counts as 1), or
+  /// std::thread::hardware_concurrency() when unset. Throws config_error
+  /// for a malformed value (see parse_host_threads).
   static int configured_host_threads();
+
+  /// The one SX4NCAR_HOST_THREADS grammar, shared by the pool size and the
+  /// execution policy: an integer in [0, 1024], where 0 and 1 both mean
+  /// sequential host execution. Returns nullopt when `value` is nullptr or
+  /// empty (unset); throws ncar::config_error naming the knob otherwise.
+  static std::optional<int> parse_host_threads(const char* value);
 
 private:
   struct Batch;

@@ -3,7 +3,9 @@
 #include <atomic>
 #include <cstdlib>
 #include <cstring>
+#include <string>
 
+#include "common/error.hpp"
 #include "simd/simd.hpp"
 
 namespace ncar::simd {
@@ -69,26 +71,6 @@ const char* to_string(Backend b) {
   return "scalar";
 }
 
-bool backend_from_string(const char* name, Backend& out, bool& is_auto) {
-  is_auto = false;
-  if (name == nullptr) return false;
-  if (std::strcmp(name, "scalar") == 0) {
-    out = Backend::Scalar;
-  } else if (std::strcmp(name, "sse42") == 0) {
-    out = Backend::Sse42;
-  } else if (std::strcmp(name, "avx2") == 0) {
-    out = Backend::Avx2;
-  } else if (std::strcmp(name, "avx512") == 0) {
-    out = Backend::Avx512;
-  } else if (std::strcmp(name, "auto") == 0) {
-    is_auto = true;
-    out = best_supported();
-  } else {
-    return false;
-  }
-  return true;
-}
-
 bool supported(Backend b) {
   return cpu_supports(b) && compiled_table(b) != nullptr;
 }
@@ -101,12 +83,17 @@ Backend best_supported() {
 }
 
 Backend backend_from_env(const char* value) {
-  Backend parsed = Backend::Scalar;
-  bool is_auto = false;
-  if (!backend_from_string(value, parsed, is_auto) || is_auto) {
+  if (value == nullptr || *value == '\0' || std::strcmp(value, "auto") == 0) {
     return best_supported();
   }
-  return supported(parsed) ? parsed : best_supported();
+  for (int i = 0; i < kBackendCount; ++i) {
+    const auto b = static_cast<Backend>(i);
+    if (std::strcmp(value, to_string(b)) == 0) {
+      return supported(b) ? b : best_supported();
+    }
+  }
+  throw config_error(std::string("SX4NCAR_SIMD=") + value +
+                     ": expected scalar|sse42|avx2|avx512|auto");
 }
 
 Backend active() { return active_storage().load(std::memory_order_relaxed); }

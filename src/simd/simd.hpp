@@ -18,8 +18,9 @@
 // bitwise). Remainder lanes fall back to the scalar reference code.
 //
 // Selection: SX4NCAR_SIMD=scalar|sse42|avx2|avx512|auto (default auto = best
-// supported). Forcing a backend the CPU cannot run falls back to the best
-// supported one; supported() lets callers (tests, CI probes) check first.
+// supported); any other value is a config_error. Forcing a backend the CPU
+// cannot run falls back to the best supported one; supported() lets
+// callers (tests, CI probes) check first.
 
 #include <complex>
 
@@ -112,10 +113,6 @@ struct KernelTable {
 /// Stable lowercase name ("scalar", "sse42", "avx2", "avx512").
 const char* to_string(Backend b);
 
-/// Parse a backend name; "auto" sets `is_auto` and returns best_supported().
-/// Returns false for unknown names (callers treat that as auto).
-bool backend_from_string(const char* name, Backend& out, bool& is_auto);
-
 /// True when this host can execute `b` (Scalar is always true; on non-x86
 /// builds everything else is false).
 bool supported(Backend b);
@@ -123,7 +120,8 @@ bool supported(Backend b);
 /// The most capable supported backend.
 Backend best_supported();
 
-/// The active backend (initialised from SX4NCAR_SIMD on first use).
+/// The active backend (initialised from SX4NCAR_SIMD on first use, so the
+/// first call throws ncar::config_error for a malformed value).
 Backend active();
 
 /// Force a backend; unsupported requests clamp to best_supported().
@@ -137,8 +135,10 @@ const KernelTable& table();
 /// unsupported) — the property battery compares these pairwise.
 const KernelTable& table_for(Backend b);
 
-/// Pure parse of an SX4NCAR_SIMD value (nullptr/empty/"auto"/unknown ->
-/// best_supported). Exposed for tests.
+/// Pure parse of an SX4NCAR_SIMD value: nullptr, empty or "auto" ->
+/// best_supported(); a backend name -> that backend, clamped to
+/// best_supported() when this host cannot run it. Throws
+/// ncar::config_error naming the accepted values for anything else.
 Backend backend_from_env(const char* value);
 
 // Per-ISA tables (internal wiring; null when the translation unit was built

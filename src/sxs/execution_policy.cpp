@@ -1,7 +1,7 @@
 #include "sxs/execution_policy.hpp"
 
 #include <cstdlib>
-#include <cstring>
+#include <optional>
 
 #include "common/thread_pool.hpp"
 #include "simd/simd.hpp"
@@ -9,17 +9,9 @@
 namespace ncar::sxs {
 
 ExecutionPolicy policy_from_env(const char* value) {
-  if (value == nullptr || *value == '\0') return ExecutionPolicy::Threaded;
-  if (std::strcmp(value, "seq") == 0 || std::strcmp(value, "sequential") == 0) {
-    return ExecutionPolicy::Sequential;
-  }
-  if (std::strcmp(value, "threaded") == 0) return ExecutionPolicy::Threaded;
-  char* end = nullptr;
-  const long n = std::strtol(value, &end, 10);
-  if (end != value && *end == '\0' && n <= 1) {
-    return ExecutionPolicy::Sequential;
-  }
-  return ExecutionPolicy::Threaded;
+  const std::optional<int> threads = ThreadPool::parse_host_threads(value);
+  return threads && *threads <= 1 ? ExecutionPolicy::Sequential
+                                  : ExecutionPolicy::Threaded;
 }
 
 ExecutionPolicy default_execution_policy() {

@@ -23,12 +23,14 @@ enum class ExecutionPolicy {
 
 /// Policy selected by the SX4NCAR_HOST_THREADS environment variable:
 /// unset → Threaded with hardware_concurrency host threads; a value of
-/// 0 or 1 → Sequential; larger values → Threaded with that many threads.
+/// 0 or 1 → Sequential; 2..1024 → Threaded with that many threads.
+/// Throws ncar::config_error for any other value.
 ExecutionPolicy default_execution_policy();
 
 /// Pure parse of the policy (exposed for tests; `value` is the raw
-/// environment string, or nullptr when the variable is unset). The thread
-/// count is ThreadPool::configured_host_threads().
+/// environment string, or nullptr when the variable is unset), using the
+/// grammar of ThreadPool::parse_host_threads. The thread count is
+/// ThreadPool::configured_host_threads().
 ExecutionPolicy policy_from_env(const char* value);
 
 const char* to_string(ExecutionPolicy p);

@@ -13,7 +13,8 @@
 // prev duration, computed in double arithmetic, deterministically), and
 // op costs repeat bit-identically thanks to the per-CPU cost caches. Both
 // XOR deltas are then zero and the whole record is three bytes; the
-// second-stage entropy pack (entropy.hpp) squeezes the remaining skew.
+// second-stage LZ pack (lz.hpp) folds the op sequences that repeat from
+// one timestep to the next.
 
 #include <cstddef>
 #include <cstdint>

@@ -4,13 +4,18 @@
 #include <cstring>
 #include <fstream>
 
-#include "trace/stream/entropy.hpp"
 #include "trace/stream/format.hpp"
+#include "trace/stream/lz.hpp"
 #include "trace/stream/varint.hpp"
 
 namespace ncar::trace::stream {
 
 namespace {
+
+/// Fewest bytes one footer track entry can take: the 8-byte tick, the
+/// flags byte, two string lengths and seven other varints of one byte
+/// each. Bounds the track ids and counts a file of a given size can hold.
+constexpr std::size_t kMinTrackEntryBytes = 18;
 
 /// All decoded chunks of one track, in file (= per-track seq) order.
 struct PendingChunk {
@@ -74,9 +79,15 @@ private:
     const std::uint64_t epoch = varint();
     varint();  // seq: informational; file order is authoritative
     const std::uint64_t record_count = varint();
+    if (record_count > kMaxChunkRecords) {
+      throw FormatError("sxt: chunk record count over limit");
+    }
     if (pos_ >= len_) throw FormatError("sxt: truncated varint");
     const std::uint8_t encoding = data_[pos_++];
     const std::uint64_t raw_bytes = varint();
+    if (raw_bytes > record_count * kMaxRecordBytes) {
+      throw FormatError("sxt: chunk raw size over limit");
+    }
     const std::uint64_t payload_bytes = varint();
     if (payload_bytes > len_ - pos_) {
       throw FormatError("sxt: truncated chunk payload");
@@ -85,10 +96,10 @@ private:
     pos_ += static_cast<std::size_t>(payload_bytes);
 
     const std::uint8_t* raw = payload;
-    if (encoding == kEncodingEntropy) {
-      if (!entropy_unpack(payload, static_cast<std::size_t>(payload_bytes),
-                          static_cast<std::size_t>(raw_bytes), scratch_)) {
-        throw FormatError("sxt: entropy payload corrupt");
+    if (encoding == kEncodingLz) {
+      if (!lz_unpack(payload, static_cast<std::size_t>(payload_bytes),
+                     static_cast<std::size_t>(raw_bytes), scratch_)) {
+        throw FormatError("sxt: lz payload corrupt");
       }
       raw = scratch_.data();
     } else if (encoding == kEncodingRaw) {
@@ -99,6 +110,9 @@ private:
       throw FormatError("sxt: bad chunk encoding");
     }
 
+    if (track_id >= len_ / kMinTrackEntryBytes) {
+      throw FormatError("sxt: chunk for unknown track");
+    }
     if (track_id >= chunks_.size()) {
       chunks_.resize(static_cast<std::size_t>(track_id) + 1);
     }
@@ -117,6 +131,9 @@ private:
     const std::uint64_t track_count = varint();
     if (chunks_.size() > track_count) {
       throw FormatError("sxt: chunk for unknown track");
+    }
+    if (track_count > (len_ - pos_) / kMinTrackEntryBytes) {
+      throw FormatError("sxt: truncated footer");
     }
     file.tracks.resize(static_cast<std::size_t>(track_count));
     for (std::size_t id = 0; id < file.tracks.size(); ++id) {
@@ -142,6 +159,7 @@ private:
       track.dropped = varint();
       track.max_spans = varint();
       const std::uint64_t tag_count = varint();
+      if (tag_count > len_ - pos_) throw FormatError("sxt: truncated footer");
       track.tags.reserve(static_cast<std::size_t>(tag_count));
       for (std::uint64_t t = 0; t < tag_count; ++t) {
         track.tags.push_back(string_field());

@@ -1,10 +1,10 @@
 #pragma once
-// Reader — offline parser for .sxt files (format.hpp, version 1).
+// Reader — offline parser for .sxt files (format.hpp, version 2).
 //
 // Strict by design: any structural damage — truncation, a bad marker, a
-// corrupt entropy stream, a record count that disagrees with the footer —
-// raises FormatError with a stable "sxt: ..." message that tools print
-// verbatim and tests assert on. The parser never guesses: a file either
+// corrupt LZ stream, a chunk header over the size caps, a record count
+// that disagrees with the footer — raises FormatError with a stable
+// "sxt: ..." message that tools print verbatim and tests assert on. The parser never guesses: a file either
 // reproduces the writer's state exactly or is rejected.
 
 #include <cstddef>

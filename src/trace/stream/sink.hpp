@@ -10,7 +10,7 @@
 // When the ring fills, the sink encodes it (codec.hpp) into preallocated
 // scratch and hands the raw chunk to the Writer, which serialises file
 // appends behind a mutex. Only that once-per-chunk handoff contends; the
-// optional entropy stage runs once at finalize, on the chunks that
+// optional LZ stage runs once at finalize, on the chunks that
 // survive epoch compaction, so dead-epoch records never pay for packing.
 //
 // Epochs mirror Collector::reset: resetting a collector abandons its

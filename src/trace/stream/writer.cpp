@@ -3,8 +3,9 @@
 #include <bit>
 #include <filesystem>
 
-#include "trace/stream/entropy.hpp"
+#include "common/error.hpp"
 #include "trace/stream/format.hpp"
+#include "trace/stream/lz.hpp"
 #include "trace/stream/varint.hpp"
 
 namespace ncar::trace::stream {
@@ -33,6 +34,8 @@ void append_u64_le(std::vector<std::uint8_t>& out, std::uint64_t v) {
 }  // namespace
 
 std::unique_ptr<Writer> Writer::open(const std::string& path, Options opt) {
+  NCAR_REQUIRE(opt.chunk_records <= kMaxChunkRecords,
+               "chunk_records above kMaxChunkRecords");
   namespace fs = std::filesystem;
   std::error_code ec;
   const fs::path p(path);
@@ -133,60 +136,42 @@ bool Writer::append_chunk(std::uint32_t track_id, std::uint64_t epoch,
 bool Writer::rewrite_stream(std::uint64_t& stream_end) {
   std::vector<ChunkIndexEntry> live;
   live.reserve(index_.size());
-  bool any_dead = false;
   for (const ChunkIndexEntry& e : index_) {
-    if (e.epoch == sinks_[e.track_id]->epoch()) {
-      live.push_back(e);
-    } else {
-      any_dead = true;
-    }
+    if (e.epoch == sinks_[e.track_id]->epoch()) live.push_back(e);
   }
   std::uint64_t dst = 16;  // header: magic + version + reserved
-  if (!any_dead && !pack_) {
-    dst = write_offset_;
-  } else {
-    std::vector<std::uint8_t> raw;
-    std::vector<std::uint8_t> packed;
-    EntropyWorkspace ws;
-    std::uint8_t header[2 + 6 * kMaxVarintBytes];
-    for (ChunkIndexEntry& e : live) {
-      bool shrunk = false;
-      if (pack_) {
-        raw.resize(e.payload_bytes);
-        file_.seekg(
-            static_cast<std::streamoff>(e.offset + e.length - e.payload_bytes));
-        file_.read(reinterpret_cast<char*>(raw.data()),
-                   static_cast<std::streamsize>(e.payload_bytes));
-        if (!file_) return false;
-        shrunk = entropy_pack(raw.data(), raw.size(), packed, ws);
-      }
-      if (shrunk) {
-        const std::size_t pos =
-            chunk_header(header, e.track_id, e.epoch, e.seq, e.record_count,
-                         kEncodingEntropy, e.payload_bytes, packed.size());
-        file_.seekp(static_cast<std::streamoff>(dst));
-        file_.write(reinterpret_cast<const char*>(header),
-                    static_cast<std::streamsize>(pos));
-        file_.write(reinterpret_cast<const char*>(packed.data()),
-                    static_cast<std::streamsize>(packed.size()));
-        if (!file_) return false;
-        e.offset = dst;
-        e.length = pos + packed.size();
-        e.payload_bytes = packed.size();
-      } else if (e.offset != dst) {
-        // Raw chunk sliding down past dropped predecessors: plain copy.
-        raw.resize(e.length);
-        file_.seekg(static_cast<std::streamoff>(e.offset));
-        file_.read(reinterpret_cast<char*>(raw.data()),
-                   static_cast<std::streamsize>(e.length));
-        file_.seekp(static_cast<std::streamoff>(dst));
-        file_.write(reinterpret_cast<const char*>(raw.data()),
-                    static_cast<std::streamsize>(e.length));
-        if (!file_) return false;
-        e.offset = dst;
-      }
-      dst += e.length;
+  std::vector<std::uint8_t> chunk;
+  std::vector<std::uint8_t> packed;
+  std::uint8_t header[2 + 6 * kMaxVarintBytes];
+  for (ChunkIndexEntry& e : live) {
+    // A chunk moves when dead predecessors were dropped or it packs.
+    bool rewrite = e.offset != dst;
+    if (pack_ || rewrite) {
+      chunk.resize(e.length);
+      file_.seekg(static_cast<std::streamoff>(e.offset));
+      file_.read(reinterpret_cast<char*>(chunk.data()),
+                 static_cast<std::streamsize>(e.length));
+      if (!file_) return false;
     }
+    if (pack_ && lz_pack(chunk.data() + e.length - e.payload_bytes,
+                         e.payload_bytes, packed)) {
+      const std::size_t pos =
+          chunk_header(header, e.track_id, e.epoch, e.seq, e.record_count,
+                       kEncodingLz, e.payload_bytes, packed.size());
+      chunk.assign(header, header + pos);
+      chunk.insert(chunk.end(), packed.begin(), packed.end());
+      e.payload_bytes = packed.size();
+      rewrite = true;
+    }
+    if (rewrite) {
+      file_.seekp(static_cast<std::streamoff>(dst));
+      file_.write(reinterpret_cast<const char*>(chunk.data()),
+                  static_cast<std::streamsize>(chunk.size()));
+      if (!file_) return false;
+      e.offset = dst;
+      e.length = chunk.size();
+    }
+    dst += e.length;
   }
   stream_end = dst;
   stats_.chunks = live.size();

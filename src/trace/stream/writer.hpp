@@ -6,7 +6,7 @@
 // flushes the partial rings, then rewrites the chunk stream in one pass:
 // chunks from dead epochs (spans recorded before the last
 // Collector::reset, which a converted trace must not show) are dropped,
-// and survivors are entropy-packed. Packing at finalize rather than on the
+// and survivors are LZ-packed (lz.hpp). Packing at finalize rather than on the
 // charge path keeps the in-run cost to the stage-1 encode and never spends
 // coder time on records a reset is about to discard. The file on disk is a
 // valid chunk stream at all times before the footer, so a crashed run
@@ -41,7 +41,7 @@ public:
 
   struct Options {
     std::size_t chunk_records = 0;  ///< ring size; 0 means 4096
-    int pack = -1;                  ///< entropy stage; -1 means on
+    int pack = -1;                  ///< LZ stage; -1 means on
   };
 
   struct Stats {
@@ -52,7 +52,9 @@ public:
   };
 
   /// Create `path` (parent directories included) and write the header.
-  /// Returns nullptr when the file cannot be created.
+  /// Returns nullptr when the file cannot be created. Throws
+  /// ncar::precondition_error when `opt.chunk_records` exceeds
+  /// kMaxChunkRecords.
   static std::unique_ptr<Writer> open(const std::string& path, Options opt);
   static std::unique_ptr<Writer> open(const std::string& path) {
     return open(path, Options());
@@ -65,7 +67,7 @@ public:
   /// Register a track. All tracks must be added before spans flow.
   TrackSink& add_track(const TrackSpec& spec);
 
-  /// Flush pending rings, compact dead epochs and entropy-pack the
+  /// Flush pending rings, compact dead epochs and LZ-pack the
   /// survivors, write footer + trailer. Idempotent; returns false if any
   /// file operation failed.
   bool finalize();
@@ -98,7 +100,7 @@ private:
   };
 
   /// The finalize pass over the chunk stream: drop dead-epoch chunks and
-  /// (when packing is on) entropy-pack the survivors, sliding everything
+  /// (when packing is on) LZ-pack the survivors, sliding everything
   /// down in place. Chunks only ever shrink, so the copy is forward-safe.
   bool rewrite_stream(std::uint64_t& stream_end);
 

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hpp"
+
 #include <string>
 
 namespace {
@@ -25,37 +27,38 @@ private:
 };
 
 TEST(SimdDispatch, NamesRoundTrip) {
+  // Every backend name parses back to its backend; forcing one this host
+  // cannot run clamps to the best supported one instead.
   for (int i = 0; i < simd::kBackendCount; ++i) {
     const auto b = static_cast<Backend>(i);
-    Backend back = Backend::Scalar;
-    bool is_auto = true;
-    ASSERT_TRUE(simd::backend_from_string(simd::to_string(b), back, is_auto));
-    EXPECT_EQ(back, b) << simd::to_string(b);
-    EXPECT_FALSE(is_auto);
+    EXPECT_EQ(simd::backend_from_env(simd::to_string(b)),
+              simd::supported(b) ? b : simd::best_supported())
+        << simd::to_string(b);
   }
 }
 
 TEST(SimdDispatch, AutoSelectsBestSupported) {
-  Backend out = Backend::Scalar;
-  bool is_auto = false;
-  ASSERT_TRUE(simd::backend_from_string("auto", out, is_auto));
-  EXPECT_TRUE(is_auto);
-  EXPECT_EQ(out, simd::best_supported());
+  EXPECT_EQ(simd::backend_from_env("auto"), simd::best_supported());
 }
 
 TEST(SimdDispatch, UnknownNamesAreRejected) {
-  Backend out = Backend::Scalar;
-  bool is_auto = false;
-  EXPECT_FALSE(simd::backend_from_string("neon", out, is_auto));
-  EXPECT_FALSE(simd::backend_from_string("", out, is_auto));
-  EXPECT_FALSE(simd::backend_from_string(nullptr, out, is_auto));
+  for (const char* bad : {"neon", "bogus", "AVX2", "avx2 ", "sse4.2"}) {
+    try {
+      simd::backend_from_env(bad);
+      ADD_FAILURE() << "accepted SX4NCAR_SIMD=" << bad;
+    } catch (const ncar::config_error& e) {
+      EXPECT_EQ(std::string(e.what()),
+                std::string("SX4NCAR_SIMD=") + bad +
+                    ": expected scalar|sse42|avx2|avx512|auto");
+    }
+  }
 }
 
 TEST(SimdDispatch, EnvParseFallsBackToBestSupported) {
+  // Unset, empty and "auto" all mean the best supported backend.
   EXPECT_EQ(simd::backend_from_env(nullptr), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env(""), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env("auto"), simd::best_supported());
-  EXPECT_EQ(simd::backend_from_env("bogus"), simd::best_supported());
   EXPECT_EQ(simd::backend_from_env("scalar"), Backend::Scalar);
 }
 

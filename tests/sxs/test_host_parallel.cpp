@@ -6,10 +6,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <exception>
 #include <stdexcept>
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
 #include "sxs/execution_policy.hpp"
@@ -225,14 +227,25 @@ TEST(ExecutionPolicyEnv, PolicyParsing) {
   EXPECT_EQ(policy_from_env("1"), ExecutionPolicy::Sequential);
   EXPECT_EQ(policy_from_env("2"), ExecutionPolicy::Threaded);
   EXPECT_EQ(policy_from_env("64"), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("seq"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("sequential"), ExecutionPolicy::Sequential);
-  EXPECT_EQ(policy_from_env("threaded"), ExecutionPolicy::Threaded);
-  EXPECT_EQ(policy_from_env("garbage"), ExecutionPolicy::Threaded);
+  EXPECT_EQ(policy_from_env("1024"), ExecutionPolicy::Threaded);
+  // One grammar with the pool size: words, signs, blanks and counts past
+  // 1024 are refused with the knob's message.
+  for (const char* bad : {"seq", "sequential", "threaded", "garbage", "-3",
+                          "+2", " 4", "4x", "1025", "99999999999"}) {
+    try {
+      policy_from_env(bad);
+      ADD_FAILURE() << "accepted SX4NCAR_HOST_THREADS=" << bad;
+    } catch (const ncar::config_error& e) {
+      EXPECT_EQ(std::string(e.what()), std::string("SX4NCAR_HOST_THREADS=") +
+                                           bad +
+                                           ": expected an integer in [0, 1024]");
+    }
+  }
 }
 
 /// configured_host_threads() with SX4NCAR_HOST_THREADS set to `value`
-/// (unset for nullptr); the caller's setting is restored afterwards.
+/// (unset for nullptr); the caller's setting is restored afterwards, also
+/// when the value is refused.
 int host_threads_with(const char* value) {
   const char* before = std::getenv("SX4NCAR_HOST_THREADS");
   const std::string saved = before != nullptr ? before : "";
@@ -241,21 +254,30 @@ int host_threads_with(const char* value) {
   } else {
     unsetenv("SX4NCAR_HOST_THREADS");
   }
-  const int threads = ThreadPool::configured_host_threads();
+  int threads = 0;
+  std::exception_ptr error;
+  try {
+    threads = ThreadPool::configured_host_threads();
+  } catch (...) {
+    error = std::current_exception();
+  }
   if (before != nullptr) {
     setenv("SX4NCAR_HOST_THREADS", saved.c_str(), 1);
   } else {
     unsetenv("SX4NCAR_HOST_THREADS");
   }
+  if (error) std::rethrow_exception(error);
   return threads;
 }
 
 TEST(ExecutionPolicyEnv, ThreadCountParsing) {
   EXPECT_EQ(host_threads_with("8"), 8);
   EXPECT_EQ(host_threads_with("1"), 1);
-  EXPECT_EQ(host_threads_with("0"), 1);  // clamped
+  EXPECT_EQ(host_threads_with("0"), 1);  // sequential: the caller alone
+  EXPECT_EQ(host_threads_with("1024"), 1024);
   EXPECT_GE(host_threads_with(nullptr), 1);
-  EXPECT_GE(host_threads_with("nonsense"), 1);
+  EXPECT_THROW(host_threads_with("nonsense"), ncar::config_error);
+  EXPECT_THROW(host_threads_with("2000"), ncar::config_error);
 }
 
 TEST(ExecutionPolicyEnv, Names) {

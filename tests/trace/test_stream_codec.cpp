@@ -1,7 +1,7 @@
 // Property tests for the .sxt stage-1 record codec, the LEB128 varints it
-// is built on, and the optional tANS entropy stage: encode/decode must
-// round-trip every well-formed input bit-exactly, and the decoders must
-// reject truncated or corrupt payloads instead of reading past them.
+// is built on, and the optional LZ stage: encode/decode must round-trip
+// every well-formed input bit-exactly, and the decoders must reject
+// truncated or corrupt payloads instead of reading or writing past them.
 
 #include <gtest/gtest.h>
 
@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "trace/stream/codec.hpp"
-#include "trace/stream/entropy.hpp"
 #include "trace/stream/format.hpp"
+#include "trace/stream/lz.hpp"
 #include "trace/stream/varint.hpp"
 
 namespace {
@@ -190,90 +190,141 @@ TEST(RecordCodec, RejectsTagOverflowingThirtyTwoBits) {
   EXPECT_FALSE(decode_records(buf.data(), pos, 1, &out));
 }
 
-std::vector<std::uint8_t> unpack_or_die(const std::vector<std::uint8_t>& packed,
-                                        std::size_t raw_size) {
-  std::vector<std::uint8_t> out;
-  EXPECT_TRUE(entropy_unpack(packed.data(), packed.size(), raw_size, out));
+using Bytes = std::vector<std::uint8_t>;
+
+Bytes unpack_or_die(const Bytes& packed, std::size_t raw_size) {
+  Bytes out;
+  EXPECT_TRUE(lz_unpack(packed.data(), packed.size(), raw_size, out));
   EXPECT_EQ(out.size(), raw_size);
   return out;
 }
 
-TEST(Entropy, SingleValueRunShortCircuitsToRle) {
-  const std::vector<std::uint8_t> raw(1000, 0x7F);
-  std::vector<std::uint8_t> packed;
-  ASSERT_TRUE(entropy_pack(raw.data(), raw.size(), packed));
-  EXPECT_EQ(packed.size(), 2u);
-  EXPECT_EQ(unpack_or_die(packed, raw.size()), raw);
-}
-
-TEST(Entropy, SkewedBytesRoundTripAndShrink) {
-  std::mt19937_64 rng(0xE27);
-  std::vector<std::uint8_t> raw;
-  for (int i = 0; i < 20000; ++i) {
-    // Stage-1-like distribution: mostly 0x00, a few hot header values.
-    const std::uint64_t roll = rng() % 100;
-    raw.push_back(roll < 70 ? 0x00
-                  : roll < 90
-                      ? static_cast<std::uint8_t>(0x10 + roll % 4)
-                      : static_cast<std::uint8_t>(rng() & 0xFF));
-  }
-  std::vector<std::uint8_t> packed;
-  ASSERT_TRUE(entropy_pack(raw.data(), raw.size(), packed));
+Bytes pack_or_die(const Bytes& raw) {
+  Bytes packed;
+  EXPECT_TRUE(lz_pack(raw.data(), raw.size(), packed));
   EXPECT_LT(packed.size(), raw.size());
+  return packed;
+}
+
+/// Stage-1-like bytes: one op sequence repeated step after step, with a
+/// few bytes (a changed residue, a new tag) differing per step.
+Bytes repeated_steps(std::uint64_t seed, int steps) {
+  std::mt19937_64 rng(seed);
+  Bytes step;
+  for (int i = 0; i < 300; ++i) {
+    const std::uint64_t roll = rng() % 100;
+    step.push_back(roll < 60 ? 0x00 : static_cast<std::uint8_t>(rng()));
+  }
+  Bytes raw;
+  for (int s = 0; s < steps; ++s) {
+    for (int k = 0; k < 3; ++k) {
+      step[rng() % step.size()] = static_cast<std::uint8_t>(rng());
+    }
+    raw.insert(raw.end(), step.begin(), step.end());
+  }
+  return raw;
+}
+
+TEST(Lz, SingleValueRunIsOneOverlappingMatch) {
+  const Bytes raw(1000, 0x7F);
+  const Bytes packed = pack_or_die(raw);
+  // One literal, then a distance-1 match copying its own output: the
+  // literal count, the literal, a two-byte length and the distance.
+  EXPECT_EQ(packed, (Bytes{1, 0x7F, 0xE3, 0x07, 1}));
   EXPECT_EQ(unpack_or_die(packed, raw.size()), raw);
 }
 
-TEST(Entropy, RefusesWhenNotStrictlySmaller) {
+TEST(Lz, RepeatedStepsRoundTripAndShrink) {
+  const Bytes raw = repeated_steps(0xE27, 60);
+  const Bytes packed = pack_or_die(raw);
+  EXPECT_LT(packed.size() * 5, raw.size());
+  EXPECT_EQ(unpack_or_die(packed, raw.size()), raw);
+}
+
+TEST(Lz, RefusesWhenNotStrictlySmaller) {
   std::mt19937_64 rng(0xFADE);
-  std::vector<std::uint8_t> raw;
+  Bytes raw;
   for (int i = 0; i < 4096; ++i) {
     raw.push_back(static_cast<std::uint8_t>(rng() & 0xFF));
   }
-  std::vector<std::uint8_t> packed;
-  EXPECT_FALSE(entropy_pack(raw.data(), raw.size(), packed));
-  const std::vector<std::uint8_t> tiny{1};
-  EXPECT_FALSE(entropy_pack(tiny.data(), tiny.size(), packed));
+  Bytes packed;
+  EXPECT_FALSE(lz_pack(raw.data(), raw.size(), packed));
+  const Bytes tiny{1, 2, 3};
+  EXPECT_FALSE(lz_pack(tiny.data(), tiny.size(), packed));
+  EXPECT_FALSE(lz_pack(tiny.data(), 0, packed));
 }
 
-TEST(Entropy, AllByteValuesRoundTrip) {
-  std::vector<std::uint8_t> raw;
+TEST(Lz, AllByteValuesAndLongRunsRoundTrip) {
+  Bytes raw;
   for (int rep = 0; rep < 8; ++rep) {
-    for (int b = 0; b < 256; ++b) {
-      raw.push_back(static_cast<std::uint8_t>(b));
-    }
+    for (int b = 0; b < 256; ++b) raw.push_back(static_cast<std::uint8_t>(b));
+    raw.insert(raw.end(), 5000 + rep, static_cast<std::uint8_t>(rep * 37));
   }
-  // Uniform input will not shrink; drive the coder through the workspace
-  // API anyway and round-trip whatever it produced via a skewed prefix.
-  raw.insert(raw.end(), 8192, 0x00);
-  std::vector<std::uint8_t> packed;
-  EntropyWorkspace ws;
-  ASSERT_TRUE(entropy_pack(raw.data(), raw.size(), packed, ws));
-  EXPECT_EQ(unpack_or_die(packed, raw.size()), raw);
+  for (int b = 255; b >= 0; --b) raw.push_back(static_cast<std::uint8_t>(b));
+  EXPECT_EQ(unpack_or_die(pack_or_die(raw), raw.size()), raw);
+
+  // Random lengths and alphabets: every input the packer accepts decodes
+  // back exactly, including matches that start in the first bytes and
+  // runs that end the chunk.
+  std::mt19937_64 rng(0x1277);
+  int packed_count = 0;
+  for (int trial = 0; trial < 300; ++trial) {
+    const std::size_t n = rng() % 3000;
+    const std::uint64_t alphabet = 1 + rng() % 8;
+    Bytes in;
+    for (std::size_t i = 0; i < n; ++i) {
+      in.push_back(static_cast<std::uint8_t>(0xF0 + rng() % alphabet));
+    }
+    Bytes packed;
+    if (!lz_pack(in.data(), in.size(), packed)) continue;
+    ++packed_count;
+    EXPECT_EQ(unpack_or_die(packed, in.size()), in) << "trial " << trial;
+  }
+  EXPECT_GT(packed_count, 200);
 }
 
-TEST(Entropy, RejectsCorruptPayloads) {
-  const std::vector<std::uint8_t> raw(1000, 0x42);
-  std::vector<std::uint8_t> out;
+TEST(Lz, PackingIsAPureFunctionOfTheChunk) {
+  const Bytes a = repeated_steps(1, 40);
+  const Bytes b = repeated_steps(2, 40);
+  const Bytes first = pack_or_die(a);
+  pack_or_die(b);  // leaves nothing behind for the next call to see
+  EXPECT_EQ(pack_or_die(a), first);
+}
 
-  // Empty payload, unknown mode byte, RLE of the wrong length.
-  EXPECT_FALSE(entropy_unpack(raw.data(), 0, 10, out));
-  const std::vector<std::uint8_t> bad_mode{9, 1, 2, 3};
-  EXPECT_FALSE(entropy_unpack(bad_mode.data(), bad_mode.size(), 10, out));
-  const std::vector<std::uint8_t> long_rle{0, 0x42, 0x42};
-  EXPECT_FALSE(entropy_unpack(long_rle.data(), long_rle.size(), 10, out));
+TEST(Lz, RejectsCorruptTokens) {
+  Bytes out;
+  auto rejects = [&](const Bytes& packed, std::size_t raw_size) {
+    return !lz_unpack(packed.data(), packed.size(), raw_size, out);
+  };
+  // The well-formed token the cases below damage: literal 'a', then a
+  // four-byte distance-1 match.
+  ASSERT_FALSE(rejects({1, 'a', 0, 1}, 5));
+  EXPECT_EQ(out, Bytes(5, 'a'));
 
-  // A real tANS payload with a histogram that no longer sums to the table
-  // size, and one with a truncated bitstream.
-  std::vector<std::uint8_t> skewed(5000, 0x00);
-  for (std::size_t i = 0; i < skewed.size(); i += 7) skewed[i] = 0x33;
-  std::vector<std::uint8_t> packed;
-  ASSERT_TRUE(entropy_pack(skewed.data(), skewed.size(), packed));
-  std::vector<std::uint8_t> bad_hist = packed;
-  bad_hist[1] = static_cast<std::uint8_t>(bad_hist[1] ^ 0x01);
-  EXPECT_FALSE(
-      entropy_unpack(bad_hist.data(), bad_hist.size(), skewed.size(), out));
-  EXPECT_FALSE(entropy_unpack(packed.data(), packed.size() - 20,
-                              skewed.size(), out));
+  EXPECT_TRUE(rejects({}, 5));                  // no token at all
+  EXPECT_TRUE(rejects({0x81}, 5));              // truncated literal count
+  EXPECT_TRUE(rejects({5, 'a', 'a'}, 5));       // truncated literal run
+  EXPECT_TRUE(rejects({6, 'a', 'a', 'a', 'a', 'a', 'a'}, 5));  // overruns
+  EXPECT_TRUE(rejects({1, 'a'}, 5));            // match token missing
+  EXPECT_TRUE(rejects({1, 'a', 0x80}, 5));      // truncated match length
+  EXPECT_TRUE(rejects({1, 'a', 0}, 5));         // distance missing
+  EXPECT_TRUE(rejects({1, 'a', 0, 0}, 5));      // zero distance
+  EXPECT_TRUE(rejects({1, 'a', 0, 2}, 5));      // distance before the start
+  EXPECT_TRUE(rejects({1, 'a', 1, 1}, 5));      // match overruns raw_size
+  EXPECT_TRUE(rejects({1, 'a', 0, 1}, 3));      // room for no match at all
+  EXPECT_TRUE(rejects({1, 'a', 0, 1, 0}, 5));   // trailing byte
+  EXPECT_TRUE(rejects({1, 'a', 0, 1}, 6));      // ends short of raw_size
+  EXPECT_TRUE(rejects({0}, 0));                 // bytes for an empty chunk
+  EXPECT_TRUE(rejects({0, 0, 1}, 5));           // match before any output
+
+  // Every strict prefix of a real payload is rejected.
+  const Bytes raw = repeated_steps(7, 20);
+  const Bytes packed = pack_or_die(raw);
+  for (std::size_t cut = 0; cut < packed.size(); ++cut) {
+    const Bytes prefix(packed.begin(),
+                       packed.begin() + static_cast<std::ptrdiff_t>(cut));
+    EXPECT_TRUE(rejects(prefix, raw.size())) << "cut " << cut;
+  }
 }
 
 }  // namespace

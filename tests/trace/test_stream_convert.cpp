@@ -1,7 +1,7 @@
 // The conversion contract: SX4NCAR_TRACE=full and =stream capture a run
 // the same way — through per-track sinks into a .sxt — and the Chrome JSON
 // converted from the file does not depend on the mode, on how the sinks cut
-// the stream into chunks, or on whether the entropy stage packed them. A
+// the stream into chunks, or on whether the LZ stage packed them. A
 // mid-run Collector::reset leaves exactly the spans a capture started at
 // the reset would hold. The tests use the bench harness's track layout
 // (trace_report.cpp): runtime on tid 0 always, cpu i on tid i+1 with the

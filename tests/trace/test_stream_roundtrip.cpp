@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "common/error.hpp"
 #include "trace/category.hpp"
 #include "trace/stream/format.hpp"
 #include "trace/stream/reader.hpp"
@@ -220,8 +221,8 @@ TEST(StreamRoundTrip, PackedAndRawFilesParseIdentically) {
         writer->add_track(spec(1, 0, "node0", "cpu0", 8e-9, true));
     double t = 0.0;
     for (int i = 0; i < 2000; ++i) {
-      // Contiguous, repetitive: stage-1 bytes are almost all zero, so the
-      // entropy stage engages on every full chunk.
+      // Contiguous, repetitive: stage-1 bytes repeat every four records,
+      // so the LZ stage engages on every full chunk.
       const double dur = (i % 4 == 0) ? 3.5 : 1.25;
       sink.record(i % 2 ? Category::VectorMul : Category::VectorAdd, t, dur,
                   i % 2 ? "mul8" : "add8");
@@ -247,10 +248,10 @@ TEST(StreamRoundTrip, PackedAndRawFilesParseIdentically) {
   }
   EXPECT_EQ(a.tags, b.tags);
 
-  // At least one chunk in the packed file actually used the entropy
-  // encoding (otherwise the size comparison above proved nothing).
+  // At least one chunk in the packed file actually used the LZ encoding
+  // (otherwise the size comparison above proved nothing).
   const auto bytes = file_bytes(pack_path);
-  EXPECT_EQ(bytes[first_chunk_layout(bytes).encoding_pos], kEncodingEntropy);
+  EXPECT_EQ(bytes[first_chunk_layout(bytes).encoding_pos], kEncodingLz);
 }
 
 std::vector<std::uint8_t> small_valid_file(const std::string& path) {
@@ -280,6 +281,8 @@ TEST(StreamReject, StructuralDamageRaisesExactErrors) {
   auto bad_version = good;
   bad_version[4] = 99;
   expect_rejected(bad_version, "sxt: unsupported version");
+  bad_version[4] = 1;  // version 1 meant tANS by encoding 1, not LZ
+  expect_rejected(bad_version, "sxt: unsupported version");
 
   const std::vector<std::uint8_t> truncated(good.begin(), good.end() - 1);
   expect_rejected(truncated, "sxt: missing trailer");
@@ -300,25 +303,77 @@ TEST(StreamReject, StructuralDamageRaisesExactErrors) {
   expect_rejected(bad_payload, "sxt: record payload corrupt");
 }
 
-TEST(StreamReject, TruncatedChunkPayloadAndCorruptEntropy) {
-  // Hand-built file whose chunk claims more payload than the file holds.
-  std::vector<std::uint8_t> fake = {'S', 'X', 'T', '1', 1, 0, 0, 0,
-                                    0,   0,   0,   0,   0, 0, 0, 0};
+/// A hand-built file: the current header, one chunk header with the given
+/// fields, `payload` filler bytes and the trailer (no footer).
+std::vector<std::uint8_t> fake_chunk_file(std::uint64_t track_id,
+                                          std::uint64_t record_count,
+                                          std::uint64_t raw_bytes,
+                                          std::uint64_t payload_bytes,
+                                          std::size_t payload) {
+  std::vector<std::uint8_t> fake(kMagic, kMagic + 4);
+  for (int b = 0; b < 4; ++b) {
+    fake.push_back(static_cast<std::uint8_t>(kVersion >> (8 * b)));
+  }
+  fake.insert(fake.end(), 8, 0x00);  // reserved
   fake.push_back(kChunkMarker);
   std::uint8_t scratch[kMaxVarintBytes];
-  for (const std::uint64_t v : {0ull, 0ull, 0ull, 4ull}) {
+  for (const std::uint64_t v : {track_id, std::uint64_t{0},
+                                std::uint64_t{0}, record_count}) {
     fake.insert(fake.end(), scratch, scratch + put_varint(scratch, v));
   }
   fake.push_back(kEncodingRaw);
-  fake.insert(fake.end(), scratch, scratch + put_varint(scratch, 200));
-  fake.insert(fake.end(), scratch, scratch + put_varint(scratch, 200));
-  fake.insert(fake.end(), 8, 0x00);  // far fewer than the 200 promised
-  fake.insert(fake.end(), {'S', 'X', 'T', 'E'});
-  expect_rejected(fake, "sxt: truncated chunk payload");
+  for (const std::uint64_t v : {raw_bytes, payload_bytes}) {
+    fake.insert(fake.end(), scratch, scratch + put_varint(scratch, v));
+  }
+  fake.insert(fake.end(), payload, 0x00);
+  fake.insert(fake.end(), kTrailer, kTrailer + 4);
+  return fake;
+}
 
-  // A real packed file with one histogram byte flipped: the entropy
-  // decoder must reject, not emit garbage records.
-  const std::string path = temp_path("entropy_victim.sxt");
+TEST(StreamReject, OversizedCountsRaiseExactErrors) {
+  // Chunk headers are checked against the caps before anything is sized
+  // from them: a claim of 2^60 records must not reach an allocation.
+  expect_rejected(fake_chunk_file(0, 1ull << 60, 0, 0, 8),
+                  "sxt: chunk record count over limit");
+  expect_rejected(fake_chunk_file(0, kMaxChunkRecords + 1, 0, 0, 8),
+                  "sxt: chunk record count over limit");
+  expect_rejected(fake_chunk_file(0, 4, 4 * kMaxRecordBytes + 1, 0, 8),
+                  "sxt: chunk raw size over limit");
+  expect_rejected(fake_chunk_file(0, 1, 1ull << 40, 0, 8),
+                  "sxt: chunk raw size over limit");
+  expect_rejected(fake_chunk_file(1ull << 40, 4, 8, 8, 8),
+                  "sxt: chunk for unknown track");
+
+  // Likewise a footer claiming 2^40 tracks.
+  const auto good = small_valid_file(temp_path("footer_victim.sxt"));
+  const ChunkLayout layout = first_chunk_layout(good);
+  const std::size_t footer = layout.payload_pos + layout.payload_bytes + 1;
+  ASSERT_EQ(good.at(footer), 1u);  // one-byte track count
+  std::vector<std::uint8_t> many_tracks(good.begin(),
+                                        good.begin() + footer);
+  std::uint8_t scratch[kMaxVarintBytes];
+  many_tracks.insert(many_tracks.end(), scratch,
+                     scratch + put_varint(scratch, 1ull << 40));
+  many_tracks.insert(many_tracks.end(), good.begin() + footer + 1, good.end());
+  expect_rejected(many_tracks, "sxt: truncated footer");
+
+  // The writer refuses rings the reader would refuse.
+  Writer::Options opt;
+  opt.chunk_records = kMaxChunkRecords + 1;
+  EXPECT_THROW(Writer::open(temp_path("oversized.sxt"), opt),
+               ncar::precondition_error);
+  opt.chunk_records = kMaxChunkRecords;
+  EXPECT_NE(Writer::open(temp_path("max_chunk.sxt"), opt), nullptr);
+}
+
+TEST(StreamReject, TruncatedChunkPayloadAndCorruptEntropy) {
+  // Hand-built file whose chunk claims more payload than the file holds.
+  expect_rejected(fake_chunk_file(0, 10, 200, 200, 8),
+                  "sxt: truncated chunk payload");
+
+  // A real packed file whose first token claims more literals than the
+  // payload holds: the LZ decoder must reject, not emit garbage records.
+  const std::string path = temp_path("lz_victim.sxt");
   Writer::Options opt;
   opt.chunk_records = 512;
   opt.pack = 1;
@@ -330,9 +385,10 @@ TEST(StreamReject, TruncatedChunkPayloadAndCorruptEntropy) {
   ASSERT_TRUE(writer->finalize());
   auto bytes = file_bytes(path);
   const ChunkLayout layout = first_chunk_layout(bytes);
-  ASSERT_EQ(bytes[layout.encoding_pos], kEncodingEntropy);
-  bytes[layout.payload_pos + 1] ^= 0x01;
-  expect_rejected(bytes, "sxt: entropy payload corrupt");
+  ASSERT_EQ(bytes[layout.encoding_pos], kEncodingLz);
+  ASSERT_LT(layout.payload_bytes, 0x7Fu);
+  bytes[layout.payload_pos] = 0x7F;
+  expect_rejected(bytes, "sxt: lz payload corrupt");
 }
 
 TEST(StreamReject, MissingFileReportsPath) {
