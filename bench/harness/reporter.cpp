@@ -53,10 +53,15 @@ BenchReporter::BenchReporter(std::string name, int argc, char** argv)
     std::fprintf(stderr, "%s: %s\n", name_.c_str(), e.what());
     std::exit(2);
   }
-  // Set *and non-empty* selects the full sweep; `SX4NCAR_BENCH_FULL=` forces
-  // the quick mode (CTest uses this so runs match the committed baselines).
-  const char* full = std::getenv("SX4NCAR_BENCH_FULL");
-  full_mode_ = full != nullptr && *full != '\0';
+  // `1` selects the full sweep; unset, empty or `0` the quick mode (CTest
+  // sets it empty so runs match the committed baselines).
+  const std::string full = env_or("SX4NCAR_BENCH_FULL", "0");
+  if (full != "0" && full != "1") {
+    std::fprintf(stderr, "%s: SX4NCAR_BENCH_FULL=%s: expected 0|1\n",
+                 name_.c_str(), full.c_str());
+    std::exit(2);
+  }
+  full_mode_ = full == "1";
   results_dir_ = env_or("SX4NCAR_BENCH_RESULTS_DIR", "bench/results");
   baseline_dir_ = env_or("SX4NCAR_BASELINE_DIR", "bench/baselines");
 

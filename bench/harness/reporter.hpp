@@ -85,7 +85,7 @@ public:
   /// sxs::Cpu; counters are deterministic, so the metrics are gate-safe.
   void cost_cache_counters(double hits, double misses);
 
-  /// True when SX4NCAR_BENCH_FULL is set — recorded in the JSON so the
+  /// True when SX4NCAR_BENCH_FULL=1 — recorded in the JSON so the
   /// gate can refuse to compare quick-mode results to full-mode baselines.
   bool full_mode() const { return full_mode_; }
 

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <cstring>
 
+#if defined(__SSE2__)
+#include <emmintrin.h>
+#endif
+
 #include "common/error.hpp"
 #include "simd/simd.hpp"
 #include "sxs/ops.hpp"
@@ -31,36 +35,14 @@ Mom::Mom(const MomConfig& cfg, sxs::Node& node)
       forcing_(temp_.ni(), temp_.nj()),
       u_(temp_.ni(), temp_.nj()),
       v_(temp_.ni(), temp_.nj()),
-      scratch_(temp_.ni(), temp_.nj(), temp_.nk()),
       mask_c_(temp_.ni(), temp_.nj()),
-      mask_ip_(temp_.ni(), temp_.nj()),
-      mask_im_(temp_.ni(), temp_.nj()),
-      mask_jp_(temp_.ni(), temp_.nj()),
-      mask_jm_(temp_.ni(), temp_.nj()),
-      sip_(temp_.ni()),
-      sim_(temp_.ni()),
-      aip_(temp_.ni()),
-      aim_(temp_.ni()),
-      ajp_(temp_.ni()),
-      ajm_(temp_.ni()),
-      uu_(temp_.ni()),
-      vv_(temp_.ni()),
-      zeros_(temp_.ni(), 0.0) {
+      ring_(2 * temp_.ni()) {
   NCAR_REQUIRE(cfg.nlev >= 2, "need at least two levels");
   NCAR_REQUIRE(cfg.sor_iters >= 1 && cfg.diag_every >= 1, "config");
-  // The land mask never changes, so the neighbour selects of the baroclinic
-  // stencil can be driven by precomputed 0/1 rows.
   for (int j = 0; j < cfg.nlat; ++j) {
     for (int i = 0; i < cfg.nlon; ++i) {
-      const int im = (i + cfg.nlon - 1) % cfg.nlon, ip = (i + 1) % cfg.nlon;
-      const std::size_t ii = static_cast<std::size_t>(i);
-      const std::size_t jj = static_cast<std::size_t>(j);
-      mask_c_(ii, jj) = mask_.ocean(i, j) ? 1.0 : 0.0;
-      mask_ip_(ii, jj) = mask_.ocean(ip, j) ? 1.0 : 0.0;
-      mask_im_(ii, jj) = mask_.ocean(im, j) ? 1.0 : 0.0;
-      mask_jp_(ii, jj) =
-          (j + 1 < cfg.nlat && mask_.ocean(i, j + 1)) ? 1.0 : 0.0;
-      mask_jm_(ii, jj) = (j > 0 && mask_.ocean(i, j - 1)) ? 1.0 : 0.0;
+      mask_c_(static_cast<std::size_t>(i), static_cast<std::size_t>(j)) =
+          mask_.ocean(i, j) ? 1.0 : 0.0;
     }
   }
   reset();
@@ -96,123 +78,148 @@ void Mom::reset() {
   sor_residual_ = 0;
 }
 
+namespace {
+
+// Rows of the SOR sweep relaxed together (see solve_barotropic).
+constexpr int kSorRows = 8;
+
+// mask != 0 ? a : b as a bitwise select, so a sweep over the land mask has
+// no data-dependent branch (SSE2 is the x86-64 baseline).
+inline double select_nonzero(double mask, double a, double b) {
+#if defined(__SSE2__)
+  const __m128d m = _mm_cmpneq_sd(_mm_set_sd(mask), _mm_setzero_pd());
+  return _mm_cvtsd_f64(_mm_or_pd(_mm_and_pd(m, _mm_set_sd(a)),
+                                 _mm_andnot_pd(m, _mm_set_sd(b))));
+#else
+  return mask != 0.0 ? a : b;
+#endif
+}
+
+// Calls fn(i, im, ip) for each point i of a periodic row of n >= 3 points,
+// im and ip being its west and east neighbours. The two wrap-around points
+// are peeled off, so the interior loop carries no `%`.
+template <class Fn>
+void for_periodic_row(long n, Fn fn) {
+  fn(0, n - 1, 1);
+  for (long i = 1; i + 1 < n; ++i) fn(i, i - 1, i + 1);
+  fn(n - 1, n - 2, 0);
+}
+
+}  // namespace
+
 void Mom::solve_barotropic() {
   // Gauss-Seidel SOR for del^2 psi = forcing, psi = 0 on land, periodic in
-  // longitude, five-point stencil on the (unit-spaced) grid.
-  const int nlon = cfg_.nlon, nlat = cfg_.nlat;
+  // longitude, five-point stencil on the (unit-spaced) grid. Every point is
+  // relaxed and land points keep their value through a select on the 0/1
+  // mask, so the sweeps have no data-dependent branch. Points are addressed
+  // by flat index x = i + nlon*j.
+  const long nlon = cfg_.nlon;
+  const int nlat = cfg_.nlat;
   const double w = cfg_.sor_omega;
+  const double a = 1.0 - w;
+  double* psi = psi_.flat().data();
+  const double* fr = forcing_.flat().data();
+  const double* mc = mask_c_.flat().data();
+  // Relaxes point x given its west neighbour's value and its east
+  // neighbour's index; returns the new value.
+  auto relax = [&](long x, double west, long xe) {
+    const double gs =
+        0.25 * (west + psi[xe] + psi[x - nlon] + psi[x + nlon] - fr[x]);
+    return psi[x] = select_nonzero(mc[x], a * psi[x] + w * gs, psi[x]);
+  };
+  // Gauss-Seidel order is row by row, west to east, and each update is a
+  // serial dependency chain through its west neighbour. So kSorRows rows
+  // are swept together, row k of the block lagging k points behind row 0:
+  // step t relaxes point t - k of row k. Point (i, j+1) then reads the
+  // already relaxed (i, j), and (i, j) the not yet relaxed (i, j+1),
+  // exactly as in the row-by-row order, while the rows' chains overlap.
   for (int it = 0; it < cfg_.sor_iters; ++it) {
-    for (int j = 1; j < nlat - 1; ++j) {
-      for (int i = 0; i < nlon; ++i) {
-        if (!mask_.ocean(i, j)) continue;
-        const int im = (i + nlon - 1) % nlon, ip = (i + 1) % nlon;
-        const std::size_t jj = static_cast<std::size_t>(j);
-        const double nbr =
-            psi_(static_cast<std::size_t>(im), jj) +
-            psi_(static_cast<std::size_t>(ip), jj) +
-            psi_(static_cast<std::size_t>(i), jj - 1) +
-            psi_(static_cast<std::size_t>(i), jj + 1);
-        const double gs =
-            0.25 * (nbr - forcing_(static_cast<std::size_t>(i), jj));
-        psi_(static_cast<std::size_t>(i), jj) =
-            (1.0 - w) * psi_(static_cast<std::size_t>(i), jj) + w * gs;
+    for (int j0 = 1; j0 < nlat - 1; j0 += kSorRows) {
+      const int rows = std::min(kSorRows, nlat - 1 - j0);
+      // west[k]: the value row k relaxed last, i.e. its next point's west
+      // neighbour, carried in a register through the interior.
+      double west[kSorRows] = {};
+      // A step that may touch the periodic ends or run past a row's end.
+      auto edge_step = [&](long t) {
+        for (int k = 0; k < rows; ++k) {
+          const long i = t - k;
+          if (i < 0 || i >= nlon) continue;
+          const long x = (j0 + k) * nlon + i;
+          west[k] = relax(x, psi[i == 0 ? x + nlon - 1 : x - 1],
+                          i + 1 == nlon ? x - nlon + 1 : x + 1);
+        }
+      };
+      long t = 0;
+      for (; t < rows; ++t) edge_step(t);
+      for (; t + 1 < nlon; ++t) {
+        long x = j0 * nlon + t;
+        for (int k = 0; k < rows; ++k, x += nlon - 1) {
+          west[k] = relax(x, west[k], x + 1);
+        }
       }
+      for (; t < nlon + rows - 1; ++t) edge_step(t);
     }
   }
-  // Residual check.
+
+  // Residual check, and the barotropic velocities from the streamfunction
+  // (masked central differences).
   double res = 0;
-  for (int j = 1; j < nlat - 1; ++j) {
-    for (int i = 0; i < nlon; ++i) {
-      if (!mask_.ocean(i, j)) continue;
-      const int im = (i + nlon - 1) % nlon, ip = (i + 1) % nlon;
-      const std::size_t jj = static_cast<std::size_t>(j);
-      const double lap = psi_(static_cast<std::size_t>(im), jj) +
-                         psi_(static_cast<std::size_t>(ip), jj) +
-                         psi_(static_cast<std::size_t>(i), jj - 1) +
-                         psi_(static_cast<std::size_t>(i), jj + 1) -
-                         4.0 * psi_(static_cast<std::size_t>(i), jj);
-      res = std::max(res, std::abs(lap - forcing_(static_cast<std::size_t>(i), jj)));
-    }
+  double* u = u_.flat().data();
+  double* v = v_.flat().data();
+  for (long j = 1; j < nlat - 1; ++j) {
+    const long row = j * nlon;
+    for_periodic_row(nlon, [&](long i, long im, long ip) {
+      const long x = row + i;
+      const bool ocean = mc[x] != 0.0;
+      const double lap = psi[row + im] + psi[row + ip] + psi[x - nlon] +
+                         psi[x + nlon] - 4.0 * psi[x];
+      res = std::max(res, ocean ? std::abs(lap - fr[x]) : 0.0);
+      u[x] = ocean ? -0.5 * (psi[x + nlon] - psi[x - nlon]) * 1e4 : 0.0;
+      v[x] = ocean ? 0.5 * (psi[row + ip] - psi[row + im]) * 1e4 : 0.0;
+    });
   }
   sor_residual_ = res;
-
-  // Barotropic velocities from the streamfunction (masked central diffs).
-  for (int j = 1; j < nlat - 1; ++j) {
-    for (int i = 0; i < nlon; ++i) {
-      const std::size_t jj = static_cast<std::size_t>(j);
-      if (!mask_.ocean(i, j)) {
-        u_(static_cast<std::size_t>(i), jj) = 0;
-        v_(static_cast<std::size_t>(i), jj) = 0;
-        continue;
-      }
-      const int im = (i + nlon - 1) % nlon, ip = (i + 1) % nlon;
-      u_(static_cast<std::size_t>(i), jj) =
-          -0.5 * (psi_(static_cast<std::size_t>(i), jj + 1) -
-                  psi_(static_cast<std::size_t>(i), jj - 1)) * 1e4;
-      v_(static_cast<std::size_t>(i), jj) =
-          0.5 * (psi_(static_cast<std::size_t>(ip), jj) -
-                 psi_(static_cast<std::size_t>(im), jj)) * 1e4;
-    }
-  }
 }
 
 void Mom::baroclinic_step() {
-  const int nlon = cfg_.nlon, nlat = cfg_.nlat, nlev = cfg_.nlev;
+  const long nlon = cfg_.nlon;
+  const int nlat = cfg_.nlat, nlev = cfg_.nlev;
   const double kappa = 0.05;  // grid-units diffusivity * dt
   const double adv = 0.2;     // CFL-safe advection coefficient
   const simd::KernelTable& kt = simd::table();
-  const std::size_t row_bytes = (static_cast<std::size_t>(nlon) - 1) *
-                                sizeof(double);
+  const std::size_t row_bytes = static_cast<std::size_t>(nlon) * sizeof(double);
+  auto ring_row = [&](int j) { return ring_.data() + (j & 1) * nlon; };
 
   for (auto* field : {&temp_, &salt_}) {
     auto& f = *field;
+    const bool temperature = field == &temp_;
     for (int k = 0; k < nlev; ++k) {
       const double depth_damp = std::exp(-2.0 * k / nlev);
       const std::size_t kk = static_cast<std::size_t>(k);
+      // Row j is computed from the old rows j-1, j and j+1 into the ring and
+      // committed only after row j+1 has been computed — the last reader of
+      // its old values — so the update is in place and still reads the
+      // level exactly as a separate output field would.
+      auto commit = [&](int j) {
+        const std::size_t jj = static_cast<std::size_t>(j);
+        std::memcpy(&f(0, jj, kk), ring_row(j), row_bytes);
+        // Convective adjustment (the unvectorised column loop): deeper
+        // water must not be warmer, so mix the unstable pair (k-1, k).
+        // Levels do not couple in the stencil, and row j of level k is
+        // final here, so each column still sees its cascade in ascending k
+        // exactly as a pass after the whole step would; land columns are
+        // identically zero, so lower > upper never fires there.
+        if (temperature && k > 0) {
+          kt.mix_unstable_d(&f(0, jj, kk - 1), &f(0, jj, kk), nlon);
+        }
+      };
       for (int j = 1; j < nlat - 1; ++j) {
         const std::size_t jj = static_cast<std::size_t>(j);
-        const double* fc = &f(0, jj, kk);
-        // Periodic i-shifts of the row, then coastline no-flux selects:
-        // a land neighbour contributes the centre value instead.
-        std::memcpy(sip_.data(), fc + 1, row_bytes);
-        sip_[static_cast<std::size_t>(nlon) - 1] = fc[0];
-        sim_[0] = fc[static_cast<std::size_t>(nlon) - 1];
-        std::memcpy(sim_.data() + 1, fc, row_bytes);
-        kt.select_d(&mask_ip_(0, jj), sip_.data(), fc, aip_.data(), nlon);
-        kt.select_d(&mask_im_(0, jj), sim_.data(), fc, aim_.data(), nlon);
-        kt.select_d(&mask_jp_(0, jj), &f(0, jj + 1, kk), fc, ajp_.data(),
-                    nlon);
-        kt.select_d(&mask_jm_(0, jj), &f(0, jj - 1, kk), fc, ajm_.data(),
-                    nlon);
-        kt.scale_d(&u_(0, jj), depth_damp, uu_.data(), nlon);
-        kt.scale_d(&v_(0, jj), depth_damp, vv_.data(), nlon);
-        double* srow = &scratch_(0, jj, kk);
-        kt.mom_stencil_d(fc, aip_.data(), aim_.data(), ajp_.data(),
-                         ajm_.data(), uu_.data(), vv_.data(), adv, kappa,
-                         srow, nlon);
-        kt.select_d(&mask_c_(0, jj), srow, zeros_.data(), srow, nlon);
+        kt.mom_row_d(&f(0, jj, kk), &mask_c_(0, jj), &u_(0, jj), &v_(0, jj),
+                     depth_damp, adv, kappa, ring_row(j), nlon);
+        if (j > 1) commit(j - 1);
       }
-    }
-    // Commit, then convective adjustment (the unvectorised column loop).
-    for (int k = 0; k < nlev; ++k) {
-      const std::size_t kk = static_cast<std::size_t>(k);
-      for (int j = 1; j < nlat - 1; ++j) {
-        const std::size_t jj = static_cast<std::size_t>(j);
-        kt.select_d(&mask_c_(0, jj), &scratch_(0, jj, kk), &f(0, jj, kk),
-                    &f(0, jj, kk), nlon);
-      }
-    }
-  }
-  // Convective adjustment on temperature columns: mix statically unstable
-  // neighbours (deeper water must not be warmer). Columns are independent
-  // and each column still sees its k-cascade in ascending order, so running
-  // the level pair across whole rows reorders nothing; land columns are
-  // identically zero, so the lower > upper test never fires there.
-  for (int k = 0; k + 1 < nlev; ++k) {
-    const std::size_t kk = static_cast<std::size_t>(k);
-    for (int j = 1; j < nlat - 1; ++j) {
-      const std::size_t jj = static_cast<std::size_t>(j);
-      kt.mix_unstable_d(&temp_(0, jj, kk), &temp_(0, jj, kk + 1), nlon);
+      commit(nlat - 2);
     }
   }
 }

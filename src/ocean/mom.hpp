@@ -19,6 +19,10 @@
 //     adjustment, implicit vertical mixing) charged to the scalar unit —
 //     "the algorithms and coding of the application";
 //   * serial diagnostics every 10 steps.
+//
+// The host runs these loops as the SX-4 would, streaming: one fused SIMD
+// pass per row and level for the baroclinic update, and a branch-free SOR
+// sweep (DESIGN.md section 12.5).
 
 #include "common/array.hpp"
 #include "ocean/mask.hpp"
@@ -110,12 +114,12 @@ private:
   LandMask mask_;
   Array3D<double> temp_, salt_;
   Array2D<double> psi_, forcing_, u_, v_;
-  Array3D<double> scratch_;
-  // Precomputed 0/1 neighbour masks (centre, i+1, i-1, j+1, j-1) and
-  // per-row workspace for the vectorised baroclinic stencil — sized in the
-  // constructor so baroclinic_step never allocates.
-  Array2D<double> mask_c_, mask_ip_, mask_im_, mask_jp_, mask_jm_;
-  std::vector<double> sip_, sim_, aip_, aim_, ajp_, ajm_, uu_, vv_, zeros_;
+  // The land mask as 0/1 doubles: the baroclinic row kernel and the SOR
+  // sweep select on it instead of branching.
+  Array2D<double> mask_c_;
+  // Two computed rows not yet committed to the field (see baroclinic_step);
+  // sized in the constructor so baroclinic_step never allocates.
+  std::vector<double> ring_;
   double sor_residual_ = 0;
   double diag_mean_t_ = 0, diag_ke_ = 0;
   long steps_ = 0;

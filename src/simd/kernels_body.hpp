@@ -67,16 +67,6 @@ void add_d(double* acc, const double* x, long n) {
 }
 
 template <class V>
-void scale_d(const double* x, double s, double* dst, long n) {
-  const auto sv = V::set1(s);
-  long i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    V::store(dst + i, V::mul(V::load(x + i), sv));
-  }
-  scalar_ref::scale_d(x + i, s, dst + i, n - i);
-}
-
-template <class V>
 void scale2_d(const double* x, double s1, double s2, double* dst, long n) {
   const auto s1v = V::set1(s1);
   const auto s2v = V::set1(s2);
@@ -85,17 +75,6 @@ void scale2_d(const double* x, double s1, double s2, double* dst, long n) {
     V::store(dst + i, V::mul(V::mul(V::load(x + i), s1v), s2v));
   }
   scalar_ref::scale2_d(x + i, s1, s2, dst + i, n - i);
-}
-
-template <class V>
-void select_d(const double* mask, const double* a, const double* b,
-              double* dst, long n) {
-  long i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    V::store(dst + i, V::select_nonzero(V::load(mask + i), V::load(a + i),
-                                        V::load(b + i)));
-  }
-  scalar_ref::select_d(mask + i, a + i, b + i, dst + i, n - i);
 }
 
 template <class V>
@@ -136,33 +115,41 @@ void radabs_pair_d(const double* w, const double* t1, const double* t2,
 }
 
 template <class V>
-void mom_stencil_d(const double* f, const double* aip, const double* aim,
-                   const double* ajp, const double* ajm, const double* uu,
-                   const double* vv, double adv, double kappa, double* dst,
-                   long n) {
+void mom_row_d(const double* f, const double* mask, const double* u,
+               const double* v, double damp, double adv, double kappa,
+               double* dst, long n) {
   const auto half = V::set1(0.5);
   const auto four = V::set1(4.0);
+  const auto dampv = V::set1(damp);
   const auto advv = V::set1(adv);
   const auto kapv = V::set1(kappa);
-  long i = 0;
-  for (; i + V::kLanes <= n; i += V::kLanes) {
-    const auto fv = V::load(f + i);
-    const auto ip = V::load(aip + i);
-    const auto im = V::load(aim + i);
-    const auto jp = V::load(ajp + i);
-    const auto jm = V::load(ajm + i);
-    const auto fx = V::sub(ip, im);
-    const auto fy = V::sub(jp, jm);
+  // i = 0 wraps to n-1 and i = n-1 to 0: both go to the scalar reference,
+  // so the vector loop runs over [1, n-1) with unit-offset neighbours.
+  scalar_ref::mom_row_tail(f, mask, u, v, damp, adv, kappa, dst, n, 0,
+                           n > 0 ? 1 : 0);
+  long i = 1;
+  for (; i + V::kLanes < n; i += V::kLanes) {
+    const auto fc = V::load(f + i);
+    const auto aip =
+        V::select_nonzero(V::load(mask + i + 1), V::load(f + i + 1), fc);
+    const auto aim =
+        V::select_nonzero(V::load(mask + i - 1), V::load(f + i - 1), fc);
+    const auto ajp =
+        V::select_nonzero(V::load(mask + i + n), V::load(f + i + n), fc);
+    const auto ajm =
+        V::select_nonzero(V::load(mask + i - n), V::load(f + i - n), fc);
+    const auto uu = V::mul(V::load(u + i), dampv);
+    const auto vv = V::mul(V::load(v + i), dampv);
+    const auto fx = V::sub(aip, aim);
+    const auto fy = V::sub(ajp, ajm);
     const auto lap =
-        V::sub(V::add(V::add(V::add(ip, im), jp), jm), V::mul(four, fv));
-    const auto advect = V::mul(
-        V::mul(advv, V::add(V::mul(V::load(uu + i), fx),
-                            V::mul(V::load(vv + i), fy))),
-        half);
-    V::store(dst + i, V::add(V::sub(fv, advect), V::mul(kapv, lap)));
+        V::sub(V::add(V::add(V::add(aip, aim), ajp), ajm), V::mul(four, fc));
+    const auto advect =
+        V::mul(V::mul(advv, V::add(V::mul(uu, fx), V::mul(vv, fy))), half);
+    const auto s = V::add(V::sub(fc, advect), V::mul(kapv, lap));
+    V::store(dst + i, V::select_nonzero(V::load(mask + i), s, fc));
   }
-  scalar_ref::mom_stencil_d(f + i, aip + i, aim + i, ajp + i, ajm + i, uu + i,
-                            vv + i, adv, kappa, dst + i, n - i);
+  scalar_ref::mom_row_tail(f, mask, u, v, damp, adv, kappa, dst, n, i, n);
 }
 
 template <class V>
@@ -404,13 +391,12 @@ void dot2_cd_r(const cd* s, const double* p, const double* d, long n,
 template <class V>
 KernelTable make_table() {
   return KernelTable{
-      copy_d<V>,        gather_d<V>,       strided_copy_d<V>,
-      add_d<V>,         scale_d<V>,        scale2_d<V>,
-      select_d<V>,      radabs_pair_d<V>,  mom_stencil_d<V>,
-      mix_unstable_d<V>, pop_eta_d<V>,     pop_momentum_d<V>,
-      pop_tracer_d<V>,  fft_combine2<V>,   fft_combine3<V>,
-      fft_combine5<V>,  axpy_cd_r<V>,      dot_cd_r<V>,
-      dot2_cd_r<V>,
+      copy_d<V>,         gather_d<V>,       strided_copy_d<V>,
+      add_d<V>,          scale2_d<V>,       radabs_pair_d<V>,
+      mom_row_d<V>,      mix_unstable_d<V>, pop_eta_d<V>,
+      pop_momentum_d<V>, pop_tracer_d<V>,   fft_combine2<V>,
+      fft_combine3<V>,   fft_combine5<V>,   axpy_cd_r<V>,
+      dot_cd_r<V>,       dot2_cd_r<V>,
   };
 }
 

@@ -33,18 +33,9 @@ inline void add_d(double* acc, const double* x, long n) {
   for (long i = 0; i < n; ++i) acc[i] += x[i];
 }
 
-inline void scale_d(const double* x, double s, double* dst, long n) {
-  for (long i = 0; i < n; ++i) dst[i] = x[i] * s;
-}
-
 inline void scale2_d(const double* x, double s1, double s2, double* dst,
                      long n) {
   for (long i = 0; i < n; ++i) dst[i] = x[i] * s1 * s2;
-}
-
-inline void select_d(const double* mask, const double* a, const double* b,
-                     double* dst, long n) {
-  for (long i = 0; i < n; ++i) dst[i] = mask[i] != 0.0 ? a[i] : b[i];
 }
 
 inline void radabs_pair_d(const double* w, const double* t1, const double* t2,
@@ -64,17 +55,33 @@ inline void radabs_pair_d(const double* w, const double* t1, const double* t2,
   (void)scratch;
 }
 
-inline void mom_stencil_d(const double* f, const double* aip,
-                          const double* aim, const double* ajp,
-                          const double* ajm, const double* uu,
-                          const double* vv, double adv, double kappa,
-                          double* dst, long n) {
-  for (long i = 0; i < n; ++i) {
-    const double fx = aip[i] - aim[i];
-    const double fy = ajp[i] - ajm[i];
-    const double lap = aip[i] + aim[i] + ajp[i] + ajm[i] - 4.0 * f[i];
-    dst[i] = f[i] - adv * (uu[i] * fx + vv[i] * fy) * 0.5 + kappa * lap;
+// Points [i0, i1) of mom_row_d; the SIMD bodies call it for the periodic
+// ends and the remainder lanes.
+inline void mom_row_tail(const double* f, const double* mask, const double* u,
+                         const double* v, double damp, double adv,
+                         double kappa, double* dst, long n, long i0, long i1) {
+  for (long i = i0; i < i1; ++i) {
+    const long ip = i + 1 == n ? 0 : i + 1;
+    const long im = i == 0 ? n - 1 : i - 1;
+    const double fc = f[i];
+    const double aip = mask[ip] != 0.0 ? f[ip] : fc;
+    const double aim = mask[im] != 0.0 ? f[im] : fc;
+    const double ajp = mask[i + n] != 0.0 ? f[i + n] : fc;
+    const double ajm = mask[i - n] != 0.0 ? f[i - n] : fc;
+    const double uu = u[i] * damp;
+    const double vv = v[i] * damp;
+    const double fx = aip - aim;
+    const double fy = ajp - ajm;
+    const double lap = aip + aim + ajp + ajm - 4.0 * fc;
+    const double s = fc - adv * (uu * fx + vv * fy) * 0.5 + kappa * lap;
+    dst[i] = mask[i] != 0.0 ? s : fc;
   }
+}
+
+inline void mom_row_d(const double* f, const double* mask, const double* u,
+                      const double* v, double damp, double adv, double kappa,
+                      double* dst, long n) {
+  mom_row_tail(f, mask, u, v, damp, adv, kappa, dst, n, 0, n);
 }
 
 inline void mix_unstable_d(double* upper, double* lower, long n) {

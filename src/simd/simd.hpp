@@ -15,7 +15,8 @@
 // independent elements — reductions keep their original sequential order.
 // Complex multiplies use the mul/addsub pattern, whose components equal the
 // libstdc++ naive formula term by term (IEEE + and * are commutative
-// bitwise). Remainder lanes fall back to the scalar reference code.
+// bitwise). Remainder lanes fall back to the scalar reference code, and so
+// do the periodic ends of a stencil row (mom_row_d's i = 0 and i = n-1).
 //
 // Selection: SX4NCAR_SIMD=scalar|sse42|avx2|avx512|auto (default auto = best
 // supported); any other value is a config_error. Forcing a backend the CPU
@@ -50,14 +51,8 @@ struct KernelTable {
   // --- elementwise ----------------------------------------------------------
   /// acc[i] = acc[i] + x[i]
   void (*add_d)(double* acc, const double* x, long n);
-  /// dst[i] = x[i] * s
-  void (*scale_d)(const double* x, double s, double* dst, long n);
   /// dst[i] = (x[i] * s1) * s2
   void (*scale2_d)(const double* x, double s1, double s2, double* dst, long n);
-  /// dst[i] = mask[i] != 0 ? a[i] : b[i]   (bitwise select; dst may alias
-  /// a or b)
-  void (*select_d)(const double* mask, const double* a, const double* b,
-                   double* dst, long n);
 
   // --- fused model kernels --------------------------------------------------
   /// RADABS two-band absorptance for one level pair over the column axis:
@@ -66,13 +61,20 @@ struct KernelTable {
   /// `scratch` must hold at least 4*n doubles.
   void (*radabs_pair_d)(const double* w, const double* t1, const double* t2,
                         double sp, double* a12, double* scratch, long n);
-  /// MOM baroclinic advection-diffusion stencil over one latitude row:
-  /// dst[i] = f[i] - adv*(uu[i]*(aip-aim) + vv[i]*(ajp-ajm))*0.5
-  ///        + kappa*(aip+aim+ajp+ajm - 4*f[i]).
-  void (*mom_stencil_d)(const double* f, const double* aip, const double* aim,
-                        const double* ajp, const double* ajm, const double* uu,
-                        const double* vv, double adv, double kappa,
-                        double* dst, long n);
+  /// MOM baroclinic advection-diffusion of one latitude row j, periodic in
+  /// i. `f` and `mask` point at row j of an n-wide field and its 0/1 ocean
+  /// mask; rows j-1 and j+1 lie at f-n and f+n (mask-n, mask+n). A
+  /// neighbour whose mask is 0 contributes the centre value (no-flux
+  /// coast): aip = mask[i+1] != 0 ? f[i+1] : f[i], likewise aim, ajp, ajm.
+  /// With uu = u[i]*damp and vv = v[i]*damp,
+  ///   s = f[i] - adv*(uu*(aip-aim) + vv*(ajp-ajm))*0.5
+  ///     + kappa*(aip+aim+ajp+ajm - 4*f[i]),
+  ///   dst[i] = mask[i] != 0 ? s : f[i].
+  /// Every test is a bitwise `!= 0` select, so a NaN mask counts as ocean
+  /// and -0.0 as land. dst must not alias f.
+  void (*mom_row_d)(const double* f, const double* mask, const double* u,
+                    const double* v, double damp, double adv, double kappa,
+                    double* dst, long n);
   /// Convective adjustment of one level pair across columns: where
   /// lower[i] > upper[i], both become 0.5*(upper[i]+lower[i]).
   void (*mix_unstable_d)(double* upper, double* lower, long n);

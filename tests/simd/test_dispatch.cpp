@@ -108,11 +108,9 @@ TEST(SimdDispatch, EveryTablePointerIsNonNull) {
     EXPECT_NE(kt.gather_d, nullptr);
     EXPECT_NE(kt.strided_copy_d, nullptr);
     EXPECT_NE(kt.add_d, nullptr);
-    EXPECT_NE(kt.scale_d, nullptr);
     EXPECT_NE(kt.scale2_d, nullptr);
-    EXPECT_NE(kt.select_d, nullptr);
     EXPECT_NE(kt.radabs_pair_d, nullptr);
-    EXPECT_NE(kt.mom_stencil_d, nullptr);
+    EXPECT_NE(kt.mom_row_d, nullptr);
     EXPECT_NE(kt.mix_unstable_d, nullptr);
     EXPECT_NE(kt.pop_eta_d, nullptr);
     EXPECT_NE(kt.pop_momentum_d, nullptr);
