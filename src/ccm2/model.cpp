@@ -19,15 +19,15 @@ Ccm2::Ccm2(const Ccm2Config& cfg, sxs::Node& node)
       sht_(cfg.res.truncation, cfg.res.nlat, cfg.res.nlon),
       slt_(sht_.nodes(), cfg.res.nlon, cfg.radius),
       fft_plan_(cfg.res.nlon),
-      zg_(static_cast<std::size_t>(cfg.res.nlon), static_cast<std::size_t>(cfg.res.nlat)),
-      zlam_(zg_.ni(), zg_.nj()),
-      zmu_(zg_.ni(), zg_.nj()),
-      plam_(zg_.ni(), zg_.nj()),
-      pmu_(zg_.ni(), zg_.nj()),
-      ug_(zg_.ni(), zg_.nj()),
-      vg_(zg_.ni(), zg_.nj()),
-      gg_(zg_.ni(), zg_.nj()),
-      qn_(zg_.ni(), zg_.nj()) {
+      zlam_(static_cast<std::size_t>(cfg.res.nlon),
+            static_cast<std::size_t>(cfg.res.nlat)),
+      zmu_(zlam_.ni(), zlam_.nj()),
+      plam_(zlam_.ni(), zlam_.nj()),
+      pmu_(zlam_.ni(), zlam_.nj()),
+      ug_(zlam_.ni(), zlam_.nj()),
+      vg_(zlam_.ni(), zlam_.nj()),
+      gg_(zlam_.ni(), zlam_.nj()),
+      qn_(zlam_.ni(), zlam_.nj()) {
   NCAR_REQUIRE(cfg_.active_levels >= 1 && cfg_.active_levels <= cfg_.res.nlev,
                "active_levels must be in [1, nlev]");
   NCAR_REQUIRE(cfg_.radiation_col_stride >= 1, "radiation column stride");
@@ -59,16 +59,18 @@ void Ccm2::reset() {
 
   // Moisture: a positive zonally-varying blob, decaying with level; and a
   // realistic meridional temperature profile.
-  q_.assign(static_cast<std::size_t>(L), Array2D<double>(zg_.ni(), zg_.nj()));
+  q_.assign(static_cast<std::size_t>(L),
+            Array2D<double>(zlam_.ni(), zlam_.nj()));
   temp_.assign(static_cast<std::size_t>(L),
-               Array2D<double>(zg_.ni(), zg_.nj()));
+               Array2D<double>(zlam_.ni(), zlam_.nj()));
   for (int l = 0; l < L; ++l) {
-    for (std::size_t j = 0; j < zg_.nj(); ++j) {
+    for (std::size_t j = 0; j < zlam_.nj(); ++j) {
       const double mu = sht_.nodes().mu[j];
       const double cphi = std::sqrt(1.0 - mu * mu);
-      for (std::size_t i = 0; i < zg_.ni(); ++i) {
+      for (std::size_t i = 0; i < zlam_.ni(); ++i) {
         const double lam =
-            2.0 * std::numbers::pi * static_cast<double>(i) / static_cast<double>(zg_.ni());
+            2.0 * std::numbers::pi * static_cast<double>(i) /
+            static_cast<double>(zlam_.ni());
         q_[static_cast<std::size_t>(l)](i, j) =
             0.010 * std::exp(-0.2 * l) * cphi *
             (1.0 + 0.5 * std::cos(lam) * cphi);
@@ -134,10 +136,10 @@ StepTiming Ccm2::step(int ncpu) {
     // reset(); copy keeps the step allocation-free (sema-hot-alloc).
     std::copy(z.begin(), z.end(), psi_.begin());
     sht_.inverse_laplacian(psi_, a);
-    // Synthesis: zeta, grad zeta, grad psi.
-    sht_.synthesis(z, zg_);
-    sht_.synthesis_gradient(z, zlam_, zmu_);
-    sht_.synthesis_gradient(psi_, plam_, pmu_);
+    // Synthesis: grad zeta and grad psi, in one pass over the table.
+    const spectral::ShTransform::GradientField fields[] = {
+        {z, &zlam_, &zmu_}, {psi_, &plam_, &pmu_}};
+    sht_.synthesis_gradients(fields);
     // Grid-space winds and advective tendency.
     for (std::size_t j = 0; j < static_cast<std::size_t>(nlat); ++j) {
       const double mu = sht_.nodes().mu[j];
@@ -465,7 +467,7 @@ std::vector<double> Ccm2::checkpoint() const {
 void Ccm2::restore(const std::vector<double>& state) {
   const std::size_t spec = static_cast<std::size_t>(sht_.spec_size());
   const std::size_t L = static_cast<std::size_t>(cfg_.active_levels);
-  const std::size_t grid = zg_.size();
+  const std::size_t grid = zlam_.size();
   const std::size_t expect = 1 + 2 * 2 * spec * L + 2 * grid * L;
   NCAR_REQUIRE(state.size() == expect,
                "checkpoint does not match this configuration");
@@ -495,7 +497,7 @@ double Ccm2::checkpoint_bytes() const {
   // A real NQS checkpoint writes every level of every prognostic field,
   // not only the actively-integrated ones.
   const double spec = static_cast<double>(sht_.spec_size());
-  const double grid = static_cast<double>(zg_.size());
+  const double grid = static_cast<double>(zlam_.size());
   const double nlev = static_cast<double>(cfg_.res.nlev);
   return 8.0 * nlev * (2.0 * 2.0 * spec + 2.0 * grid);
 }

@@ -5,8 +5,8 @@
 // under the sema-hot-alloc discipline the hot path must not allocate. An
 // Arena owns one pre-sized pool (allocated at setup time) and hands out
 // spans by bumping an offset — take() never touches the heap. ArenaScope
-// restores the offset on scope exit, so nested transforms (SHT -> real FFT)
-// stack their workspaces like frames.
+// restores the offset on scope exit, so nested calls stack their
+// workspaces like frames.
 //
 // The pool is sized once while idle (reserve() requires no spans are live);
 // overflowing a take() is a precondition error, not a grow — growth on the

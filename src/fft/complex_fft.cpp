@@ -1,5 +1,6 @@
 #include "fft/complex_fft.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <numbers>
 
@@ -114,6 +115,58 @@ void Plan::inverse(std::span<const cd> in, std::span<cd> out) const {
                    static_cast<long>(out.size()) == n_,
                "buffer sizes must equal the plan length");
   rec(in.data(), 1, out.data(), n_, true, 0);
+}
+
+void Plan::rec_lanes(const simd::KernelTable& kt, const double* in,
+                     long in_stride, double* out, bool inv,
+                     std::size_t depth) const {
+  const Stage& st = stages_[depth];
+  const int f = st.f;
+  const long m = st.m;
+  for (int j = 0; j < f; ++j) {
+    const double* leg = in + static_cast<long>(j) * in_stride * kLanePoint;
+    double* dst = out + static_cast<long>(j) * m * kLanePoint;
+    if (m == 1) {
+      std::copy(leg, leg + kLanePoint, dst);
+    } else {
+      rec_lanes(kt, leg, in_stride * f, dst, inv, depth + 1);
+    }
+  }
+  const cd* tw = (inv ? tw_inv_ : tw_fwd_).data() + st.tw_offset;
+  const double sign = inv ? 1.0 : -1.0;
+  switch (f) {
+    case 2:
+      kt.lane_fft_combine2(out, m, tw);
+      break;
+    case 3:
+      kt.lane_fft_combine3(out, m, tw, sign);
+      break;
+    default:
+      kt.lane_fft_combine5(out, m, tw, sign);
+      break;
+  }
+}
+
+void Plan::transform_lanes(std::span<const double> in, std::span<double> out,
+                           bool inv) const {
+  NCAR_REQUIRE(static_cast<long>(in.size()) == n_ * kLanePoint &&
+                   static_cast<long>(out.size()) == n_ * kLanePoint,
+               "buffer sizes must equal the plan length in lane points");
+  if (n_ == 1) {
+    std::copy(in.begin(), in.end(), out.begin());
+    return;
+  }
+  rec_lanes(simd::table(), in.data(), 1, out.data(), inv, 0);
+}
+
+void Plan::forward_lanes(std::span<const double> in,
+                         std::span<double> out) const {
+  transform_lanes(in, out, false);
+}
+
+void Plan::inverse_lanes(std::span<const double> in,
+                         std::span<double> out) const {
+  transform_lanes(in, out, true);
 }
 
 void naive_dft(std::span<const cd> in, std::span<cd> out, bool inverse) {

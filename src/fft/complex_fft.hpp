@@ -5,11 +5,16 @@
 // whose transforms support lengths with factors 2, 3, and 5 — exactly the
 // three length families the paper sweeps (2^n, 3*2^n, 5*2^n). This is a
 // from-scratch decimation-in-time implementation with hard-coded radix
-// 2/3/5 combine kernels, recursive over the factorisation.
+// 2/3/5 combine kernels, recursive over the factorisation. The same
+// recursion also runs kLaneBlock independent sequences at once through the
+// lane kernels (forward_lanes / inverse_lanes), which is how CCM2's
+// spectral transform does its longitude FFTs.
 
 #include <complex>
 #include <span>
 #include <vector>
+
+#include "simd/simd.hpp"
 
 namespace ncar::fft {
 
@@ -35,6 +40,19 @@ public:
   /// Out-of-place unnormalised inverse DFT (forward then inverse gives n*x).
   void inverse(std::span<const cd> in, std::span<cd> out) const;
 
+  /// Doubles per lane point of the multi-instance transforms: the real
+  /// parts of kLaneBlock sequences, then their imaginary parts.
+  static constexpr long kLanePoint = 2 * simd::kLaneBlock;
+
+  /// Multi-instance forward DFT (the VFFT form): kLaneBlock sequences at
+  /// once, one per vector lane, each combine broadcasting the twiddles the
+  /// one-sequence transform uses. `in` and `out` hold n lane points. Every
+  /// lane gets exactly the bits forward() gives that sequence alone.
+  void forward_lanes(std::span<const double> in, std::span<double> out) const;
+
+  /// Multi-instance inverse(), with the same layout and the same guarantee.
+  void inverse_lanes(std::span<const double> in, std::span<double> out) const;
+
   /// True when n factors completely into 2, 3, and 5.
   static bool supported(long n);
 
@@ -50,6 +68,11 @@ private:
 
   void rec(const cd* in, long in_stride, cd* out, long n, bool inv,
            std::size_t depth) const;
+  void rec_lanes(const simd::KernelTable& kt, const double* in,
+                 long in_stride, double* out, bool inv,
+                 std::size_t depth) const;
+  void transform_lanes(std::span<const double> in, std::span<double> out,
+                       bool inv) const;
 
   long n_;
   std::vector<int> factors_;

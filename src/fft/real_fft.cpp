@@ -6,11 +6,14 @@
 
 namespace ncar::fft {
 
-namespace {
-
-void forward_impl(const Plan& plan, std::span<const double> in,
-                  std::span<cd> out, std::span<cd> buf, std::span<cd> full) {
+void real_forward(const Plan& plan, std::span<const double> in,
+                  std::span<cd> out) {
   const long n = plan.size();
+  NCAR_REQUIRE(static_cast<long>(in.size()) == n, "input length");
+  NCAR_REQUIRE(static_cast<long>(out.size()) == spectrum_size(n),
+               "output length");
+  std::vector<cd> buf(static_cast<std::size_t>(n));
+  std::vector<cd> full(static_cast<std::size_t>(n));
   for (long j = 0; j < n; ++j) {
     buf[static_cast<std::size_t>(j)] = cd(in[static_cast<std::size_t>(j)], 0.0);
   }
@@ -20,10 +23,14 @@ void forward_impl(const Plan& plan, std::span<const double> in,
   }
 }
 
-void inverse_impl(const Plan& plan, std::span<const cd> in,
-                  std::span<double> out, std::span<cd> full,
-                  std::span<cd> time_domain) {
+void real_inverse(const Plan& plan, std::span<const cd> in,
+                  std::span<double> out) {
   const long n = plan.size();
+  NCAR_REQUIRE(static_cast<long>(in.size()) == spectrum_size(n),
+               "input length");
+  NCAR_REQUIRE(static_cast<long>(out.size()) == n, "output length");
+  std::vector<cd> full(static_cast<std::size_t>(n));
+  std::vector<cd> time_domain(static_cast<std::size_t>(n));
   // Rebuild the full Hermitian spectrum, inverse-transform, normalise.
   for (long k = 0; k < spectrum_size(n); ++k) {
     full[static_cast<std::size_t>(k)] = in[static_cast<std::size_t>(k)];
@@ -38,54 +45,6 @@ void inverse_impl(const Plan& plan, std::span<const cd> in,
     out[static_cast<std::size_t>(j)] =
         time_domain[static_cast<std::size_t>(j)].real() * scale;
   }
-}
-
-}  // namespace
-
-void real_forward(const Plan& plan, std::span<const double> in,
-                  std::span<cd> out) {
-  const long n = plan.size();
-  NCAR_REQUIRE(static_cast<long>(in.size()) == n, "input length");
-  NCAR_REQUIRE(static_cast<long>(out.size()) == spectrum_size(n),
-               "output length");
-  std::vector<cd> buf(static_cast<std::size_t>(n));
-  std::vector<cd> full(static_cast<std::size_t>(n));
-  forward_impl(plan, in, out, buf, full);
-}
-
-void real_forward(const Plan& plan, std::span<const double> in,
-                  std::span<cd> out, Arena& arena) {
-  const long n = plan.size();
-  NCAR_REQUIRE(static_cast<long>(in.size()) == n, "input length");
-  NCAR_REQUIRE(static_cast<long>(out.size()) == spectrum_size(n),
-               "output length");
-  ArenaScope frame(arena);
-  auto buf = arena.take<cd>(static_cast<std::size_t>(n));
-  auto full = arena.take<cd>(static_cast<std::size_t>(n));
-  forward_impl(plan, in, out, buf, full);
-}
-
-void real_inverse(const Plan& plan, std::span<const cd> in,
-                  std::span<double> out) {
-  const long n = plan.size();
-  NCAR_REQUIRE(static_cast<long>(in.size()) == spectrum_size(n),
-               "input length");
-  NCAR_REQUIRE(static_cast<long>(out.size()) == n, "output length");
-  std::vector<cd> full(static_cast<std::size_t>(n));
-  std::vector<cd> time_domain(static_cast<std::size_t>(n));
-  inverse_impl(plan, in, out, full, time_domain);
-}
-
-void real_inverse(const Plan& plan, std::span<const cd> in,
-                  std::span<double> out, Arena& arena) {
-  const long n = plan.size();
-  NCAR_REQUIRE(static_cast<long>(in.size()) == spectrum_size(n),
-               "input length");
-  NCAR_REQUIRE(static_cast<long>(out.size()) == n, "output length");
-  ArenaScope frame(arena);
-  auto full = arena.take<cd>(static_cast<std::size_t>(n));
-  auto time_domain = arena.take<cd>(static_cast<std::size_t>(n));
-  inverse_impl(plan, in, out, full, time_domain);
 }
 
 }  // namespace ncar::fft

@@ -5,14 +5,13 @@
 // non-redundant spectrum bins; backward reconstructs the reals (normalised
 // here, unlike raw FFTPACK, so forward-then-inverse is the identity).
 //
-// Each transform needs 2n complex values of workspace. The Arena overloads
-// take it from a caller-owned pool (allocation-free hot path); the plain
-// overloads keep a local vector for callers without an arena.
+// Each transform keeps 2n complex values of workspace in local vectors.
+// (CCM2's spectral transform uses fft::Plan's allocation-free
+// multi-instance transforms instead.)
 
 #include <complex>
 #include <span>
 
-#include "common/arena.hpp"
 #include "fft/complex_fft.hpp"
 
 namespace ncar::fft {
@@ -20,22 +19,13 @@ namespace ncar::fft {
 /// Number of non-redundant spectrum bins for a length-n real transform.
 inline long spectrum_size(long n) { return n / 2 + 1; }
 
-/// Workspace doubles an Arena must have free for a length-n real transform.
-inline std::size_t real_fft_arena_doubles(long n) {
-  return 4 * static_cast<std::size_t>(n);
-}
-
 /// Forward real transform: out[k] = sum_j in[j] exp(-2 pi i jk/n),
 /// k = 0 .. n/2. `out` must have spectrum_size(n) entries.
 void real_forward(const Plan& plan, std::span<const double> in,
                   std::span<cd> out);
-void real_forward(const Plan& plan, std::span<const double> in,
-                  std::span<cd> out, Arena& arena);
 
 /// Inverse of real_forward (normalised): recovers the original reals.
 void real_inverse(const Plan& plan, std::span<const cd> in,
                   std::span<double> out);
-void real_inverse(const Plan& plan, std::span<const cd> in,
-                  std::span<double> out, Arena& arena);
 
 }  // namespace ncar::fft

@@ -52,10 +52,9 @@ struct Avx2 {
     const vd as = _mm256_shuffle_pd(a, a, 0x5);
     return _mm256_addsub_pd(_mm256_mul_pd(a, br), _mm256_mul_pd(as, bi));
   }
-  static vd dup_real(const double* p) {
-    // (p0, p0, p1, p1)
-    const __m256d lo = _mm256_castpd128_pd256(_mm_loadu_pd(p));
-    return _mm256_permute4x64_pd(lo, 0x50);
+  static vd dup_real_lane(const double* p) {
+    // (p0, p0, p8, p8)
+    return _mm256_set_m128d(_mm_loaddup_pd(p + kLaneBlock), _mm_loaddup_pd(p));
   }
   static vd bcast_cd(const cd& z) {
     return _mm256_broadcast_pd(reinterpret_cast<const __m128d*>(&z));

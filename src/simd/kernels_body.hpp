@@ -20,7 +20,7 @@
 //   vd gather(const double* base, const long* idx);
 //   vd stride_gather(const double* base, long stride);
 //   vd cmul(vd a, vd b);                      // interleaved complex multiply
-//   vd dup_real(const double* p);             // (p0,p0,p1,p1,...)
+//   vd dup_real_lane(const double* p);        // (p0,p0,p8,p8,p16,p16,...)
 //   vd bcast_cd(const cd& z);                 // (re,im,re,im,...)
 
 #include <complex>
@@ -322,70 +322,189 @@ void fft_combine5(cd* out, long m, const cd* tw, double sign) {
   scalar_ref::fft_combine5_tail(out, m, tw, sign, k);
 }
 
+// --- lane kernels ------------------------------------------------------------
+// The Legendre sums vectorise across the kLaneBlock lanes (latitudes) of a
+// block, so each lane keeps its own accumulators and adds in k order;
+// lane_axpy_cd_r vectorises across coefficients k, and each one adds its
+// lanes in ascending order. kLaneBlock is a multiple of every kLanes.
+
 template <class V>
-void axpy_cd_r(cd* acc, cd g, const double* p, long n) {
+void lane_dot_cd_r(const cd* s, const double* p, long n, double* out) {
+  using vd = typename V::vd;
+  constexpr long kV = kLaneBlock / V::kLanes;
+  vd re[kV], im[kV];
+  for (long c = 0; c < kV; ++c) re[c] = im[c] = V::set1(0.0);
+  for (long k = 0; k < n; ++k) {
+    const vd sr = V::set1(s[k].real());
+    const vd si = V::set1(s[k].imag());
+    for (long c = 0; c < kV; ++c) {
+      const vd pv = V::load(p + k * kLaneBlock + c * V::kLanes);
+      re[c] = V::add(re[c], V::mul(sr, pv));
+      im[c] = V::add(im[c], V::mul(si, pv));
+    }
+  }
+  for (long c = 0; c < kV; ++c) {
+    V::store(out + c * V::kLanes, re[c]);
+    V::store(out + kLaneBlock + c * V::kLanes, im[c]);
+  }
+}
+
+template <class V>
+void lane_dot2_cd_r(const cd* s, const double* p, const double* d, long n,
+                    double* out_p, double* out_d) {
+  using vd = typename V::vd;
+  constexpr long kV = kLaneBlock / V::kLanes;
+  vd pre[kV], pim[kV], dre[kV], dim[kV];
+  for (long c = 0; c < kV; ++c) {
+    pre[c] = pim[c] = dre[c] = dim[c] = V::set1(0.0);
+  }
+  for (long k = 0; k < n; ++k) {
+    const vd sr = V::set1(s[k].real());
+    const vd si = V::set1(s[k].imag());
+    for (long c = 0; c < kV; ++c) {
+      const vd pv = V::load(p + k * kLaneBlock + c * V::kLanes);
+      const vd dv = V::load(d + k * kLaneBlock + c * V::kLanes);
+      pre[c] = V::add(pre[c], V::mul(sr, pv));
+      pim[c] = V::add(pim[c], V::mul(si, pv));
+      dre[c] = V::add(dre[c], V::mul(sr, dv));
+      dim[c] = V::add(dim[c], V::mul(si, dv));
+    }
+  }
+  for (long c = 0; c < kV; ++c) {
+    V::store(out_p + c * V::kLanes, pre[c]);
+    V::store(out_p + kLaneBlock + c * V::kLanes, pim[c]);
+    V::store(out_d + c * V::kLanes, dre[c]);
+    V::store(out_d + kLaneBlock + c * V::kLanes, dim[c]);
+  }
+}
+
+template <class V>
+void lane_axpy_cd_r(cd* acc, const cd* g, const double* p, long n,
+                    long lanes) {
+  using vd = typename V::vd;
   constexpr long kC = V::kLanes / 2;
-  const auto gv = V::bcast_cd(g);
+  vd gv[kLaneBlock];
+  for (long l = 0; l < lanes; ++l) gv[l] = V::bcast_cd(g[l]);
   double* ad = reinterpret_cast<double*>(acc);
   long k = 0;
   for (; k + kC <= n; k += kC) {
-    const auto pv = V::dup_real(p + k);
-    V::store(ad + 2 * k, V::add(V::load(ad + 2 * k), V::mul(gv, pv)));
+    vd a = V::load(ad + 2 * k);
+    for (long l = 0; l < lanes; ++l) {
+      a = V::add(a, V::mul(gv[l], V::dup_real_lane(p + k * kLaneBlock + l)));
+    }
+    V::store(ad + 2 * k, a);
   }
-  scalar_ref::axpy_cd_r(acc + k, g, p + k, n - k);
+  scalar_ref::lane_axpy_tail(acc, g, p, n, lanes, k);
+}
+
+/// V::kLanes lanes of a lane point, split into real and imaginary parts,
+/// with the arithmetic of scalar_ref::lane::C.
+template <class V>
+struct LaneC {
+  typename V::vd re, im;
+
+  static LaneC at(const double* pt) {
+    return {V::load(pt), V::load(pt + kLaneBlock)};
+  }
+  static LaneC of(cd z) { return {V::set1(z.real()), V::set1(z.imag())}; }
+  void put(double* pt) const {
+    V::store(pt, re);
+    V::store(pt + kLaneBlock, im);
+  }
+  friend LaneC operator+(LaneC a, LaneC b) {
+    return {V::add(a.re, b.re), V::add(a.im, b.im)};
+  }
+  friend LaneC operator-(LaneC a, LaneC b) {
+    return {V::sub(a.re, b.re), V::sub(a.im, b.im)};
+  }
+  friend LaneC operator*(typename V::vd s, LaneC a) {
+    return {V::mul(s, a.re), V::mul(s, a.im)};
+  }
+  friend LaneC operator*(LaneC a, LaneC b) {
+    return {V::sub(V::mul(a.re, b.re), V::mul(a.im, b.im)),
+            V::add(V::mul(a.re, b.im), V::mul(a.im, b.re))};
+  }
+};
+
+template <class V>
+void lane_fft_combine2(double* out, long m, const cd* tw) {
+  using C = LaneC<V>;
+  constexpr long P = 2 * kLaneBlock;
+  for (long k = 0; k < m; ++k) {
+    const C w0 = C::of(tw[k]);
+    const C w1 = C::of(tw[m + k]);
+    double* x0 = out + P * k;
+    double* x1 = out + P * (m + k);
+    for (long c = 0; c < kLaneBlock; c += V::kLanes) {
+      const C t0 = C::at(x0 + c) * w0;
+      const C t1 = C::at(x1 + c) * w1;
+      (t0 + t1).put(x0 + c);
+      (t0 - t1).put(x1 + c);
+    }
+  }
 }
 
 template <class V>
-cd dot_cd_r(const cd* s, const double* p, long n) {
-  // Fixed-order reduction: the products are vectorised, the accumulation
-  // walks them sequentially in k order — bit-identical to the scalar loop.
-  constexpr long kC = V::kLanes / 2;
-  const double* sd = reinterpret_cast<const double*>(s);
-  double re = 0.0, im = 0.0;
-  long k = 0;
-  for (; k + kC <= n; k += kC) {
-    alignas(64) double prod[V::kLanes];
-    V::store(prod, V::mul(V::load(sd + 2 * k), V::dup_real(p + k)));
-    for (long l = 0; l < kC; ++l) {
-      re += prod[2 * l];
-      im += prod[2 * l + 1];
+void lane_fft_combine3(double* out, long m, const cd* tw, double sign) {
+  using C = LaneC<V>;
+  constexpr long P = 2 * kLaneBlock;
+  constexpr double kHalfSqrt3 = 0.86602540378443864676;
+  const auto half = V::set1(0.5);
+  const C w = C::of(cd(0.0, sign * kHalfSqrt3));
+  for (long k = 0; k < m; ++k) {
+    const C w0 = C::of(tw[k]);
+    const C w1 = C::of(tw[m + k]);
+    const C w2 = C::of(tw[2 * m + k]);
+    double* x0 = out + P * k;
+    double* x1 = out + P * (m + k);
+    double* x2 = out + P * (2 * m + k);
+    for (long c = 0; c < kLaneBlock; c += V::kLanes) {
+      const C t0 = C::at(x0 + c) * w0;
+      const C t1 = C::at(x1 + c) * w1;
+      const C t2 = C::at(x2 + c) * w2;
+      const C s = t1 + t2;
+      const C d = t1 - t2;
+      const C a = t0 - half * s;
+      const C b = w * d;
+      (t0 + s).put(x0 + c);
+      (a + b).put(x1 + c);
+      (a - b).put(x2 + c);
     }
   }
-  for (; k < n; ++k) {
-    re += s[k].real() * p[k];
-    im += s[k].imag() * p[k];
-  }
-  return cd(re, im);
 }
 
 template <class V>
-void dot2_cd_r(const cd* s, const double* p, const double* d, long n,
-               cd* out_p, cd* out_d) {
-  constexpr long kC = V::kLanes / 2;
-  const double* sd = reinterpret_cast<const double*>(s);
-  double pre = 0.0, pim = 0.0, dre = 0.0, dim = 0.0;
-  long k = 0;
-  for (; k + kC <= n; k += kC) {
-    const auto sv = V::load(sd + 2 * k);
-    alignas(64) double prod_p[V::kLanes];
-    alignas(64) double prod_d[V::kLanes];
-    V::store(prod_p, V::mul(sv, V::dup_real(p + k)));
-    V::store(prod_d, V::mul(sv, V::dup_real(d + k)));
-    for (long l = 0; l < kC; ++l) {
-      pre += prod_p[2 * l];
-      pim += prod_p[2 * l + 1];
-      dre += prod_d[2 * l];
-      dim += prod_d[2 * l + 1];
+void lane_fft_combine5(double* out, long m, const cd* tw, double sign) {
+  using C = LaneC<V>;
+  constexpr long P = 2 * kLaneBlock;
+  const auto c1 = V::set1(0.30901699437494742410);
+  const auto c2 = V::set1(-0.80901699437494742410);
+  const auto s1 = V::set1(0.95105651629515357212);
+  const auto s2 = V::set1(0.58778525229247312917);
+  const C w = C::of(cd(0.0, sign));
+  for (long k = 0; k < m; ++k) {
+    C wj[5];
+    double* x[5];
+    for (long j = 0; j < 5; ++j) {
+      wj[j] = C::of(tw[j * m + k]);
+      x[j] = out + P * (j * m + k);
+    }
+    for (long c = 0; c < kLaneBlock; c += V::kLanes) {
+      C t[5];
+      for (long j = 0; j < 5; ++j) t[j] = C::at(x[j] + c) * wj[j];
+      const C p1 = t[1] + t[4], m1 = t[1] - t[4];
+      const C p2 = t[2] + t[3], m2 = t[2] - t[3];
+      (t[0] + p1 + p2).put(x[0] + c);
+      const C a1 = t[0] + c1 * p1 + c2 * p2;
+      const C a2 = t[0] + c2 * p1 + c1 * p2;
+      const C b1 = w * (s1 * m1 + s2 * m2);
+      const C b2 = w * (s2 * m1 - s1 * m2);
+      (a1 + b1).put(x[1] + c);
+      (a2 + b2).put(x[2] + c);
+      (a2 - b2).put(x[3] + c);
+      (a1 - b1).put(x[4] + c);
     }
   }
-  for (; k < n; ++k) {
-    pre += s[k].real() * p[k];
-    pim += s[k].imag() * p[k];
-    dre += s[k].real() * d[k];
-    dim += s[k].imag() * d[k];
-  }
-  *out_p = cd(pre, pim);
-  *out_d = cd(dre, dim);
 }
 
 template <class V>
@@ -395,8 +514,9 @@ KernelTable make_table() {
       add_d<V>,          scale2_d<V>,       radabs_pair_d<V>,
       mom_row_d<V>,      mix_unstable_d<V>, pop_eta_d<V>,
       pop_momentum_d<V>, pop_tracer_d<V>,   fft_combine2<V>,
-      fft_combine3<V>,   fft_combine5<V>,   axpy_cd_r<V>,
-      dot_cd_r<V>,       dot2_cd_r<V>,
+      fft_combine3<V>,   fft_combine5<V>,   lane_dot_cd_r<V>,
+      lane_dot2_cd_r<V>, lane_axpy_cd_r<V>, lane_fft_combine2<V>,
+      lane_fft_combine3<V>, lane_fft_combine5<V>,
   };
 }
 

@@ -12,8 +12,9 @@ const KernelTable& scalar_table() {
       scalar_ref::pop_eta_d,     scalar_ref::pop_momentum_d,
       scalar_ref::pop_tracer_d,  scalar_ref::fft_combine2,
       scalar_ref::fft_combine3,  scalar_ref::fft_combine5,
-      scalar_ref::axpy_cd_r,     scalar_ref::dot_cd_r,
-      scalar_ref::dot2_cd_r,
+      scalar_ref::lane_dot_cd_r, scalar_ref::lane_dot2_cd_r,
+      scalar_ref::lane_axpy_cd_r, scalar_ref::lane_fft_combine2,
+      scalar_ref::lane_fft_combine3, scalar_ref::lane_fft_combine5,
   };
   return t;
 }

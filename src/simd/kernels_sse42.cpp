@@ -50,7 +50,7 @@ struct Sse42 {
     const vd as = _mm_shuffle_pd(a, a, 0x1);
     return _mm_addsub_pd(_mm_mul_pd(a, br), _mm_mul_pd(as, bi));
   }
-  static vd dup_real(const double* p) { return _mm_loaddup_pd(p); }
+  static vd dup_real_lane(const double* p) { return _mm_loaddup_pd(p); }
   static vd bcast_cd(const cd& z) {
     return _mm_set_pd(z.imag(), z.real());
   }

@@ -12,6 +12,8 @@
 #include <cmath>
 #include <complex>
 
+#include "simd/simd.hpp"
+
 namespace ncar::simd::scalar_ref {
 
 using cd = std::complex<double>;
@@ -198,25 +200,135 @@ inline void fft_combine5(cd* out, long m, const cd* tw, double sign) {
   fft_combine5_tail(out, m, tw, sign, 0);
 }
 
-inline void axpy_cd_r(cd* acc, cd g, const double* p, long n) {
-  for (long k = 0; k < n; ++k) acc[k] += g * p[k];
-}
+// --- lane kernels (simd.hpp, "lanes") ---------------------------------------
 
-inline cd dot_cd_r(const cd* s, const double* p, long n) {
-  cd acc(0, 0);
-  for (long k = 0; k < n; ++k) acc += s[k] * p[k];
-  return acc;
-}
-
-inline void dot2_cd_r(const cd* s, const double* p, const double* d, long n,
-                      cd* out_p, cd* out_d) {
-  cd acc_p(0, 0), acc_d(0, 0);
+inline void lane_dot_cd_r(const cd* s, const double* p, long n, double* out) {
+  constexpr long L = kLaneBlock;
+  double re[L] = {}, im[L] = {};
   for (long k = 0; k < n; ++k) {
-    acc_p += s[k] * p[k];
-    acc_d += s[k] * d[k];
+    for (long l = 0; l < L; ++l) {
+      re[l] += s[k].real() * p[k * L + l];
+      im[l] += s[k].imag() * p[k * L + l];
+    }
   }
-  *out_p = acc_p;
-  *out_d = acc_d;
+  for (long l = 0; l < L; ++l) {
+    out[l] = re[l];
+    out[L + l] = im[l];
+  }
+}
+
+inline void lane_dot2_cd_r(const cd* s, const double* p, const double* d,
+                           long n, double* out_p, double* out_d) {
+  lane_dot_cd_r(s, p, n, out_p);
+  lane_dot_cd_r(s, d, n, out_d);
+}
+
+// Coefficients [k0, n) of lane_axpy_cd_r; the SIMD bodies call it for the
+// remainder.
+inline void lane_axpy_tail(cd* acc, const cd* g, const double* p, long n,
+                           long lanes, long k0) {
+  for (long k = k0; k < n; ++k) {
+    for (long l = 0; l < lanes; ++l) acc[k] += g[l] * p[k * kLaneBlock + l];
+  }
+}
+
+inline void lane_axpy_cd_r(cd* acc, const cd* g, const double* p, long n,
+                           long lanes) {
+  lane_axpy_tail(acc, g, p, n, lanes, 0);
+}
+
+namespace lane {
+
+/// One lane of a lane point. The operations are componentwise exactly what
+/// std::complex<double> does with finite operands: the naive product
+/// (a.re*b.re - a.im*b.im, a.re*b.im + a.im*b.re) and real scaling.
+struct C {
+  double re, im;
+};
+inline C at(const double* pt, long l) { return {pt[l], pt[kLaneBlock + l]}; }
+inline void put(double* pt, long l, C z) {
+  pt[l] = z.re;
+  pt[kLaneBlock + l] = z.im;
+}
+inline C add(C a, C b) { return {a.re + b.re, a.im + b.im}; }
+inline C sub(C a, C b) { return {a.re - b.re, a.im - b.im}; }
+inline C scale(double s, C a) { return {s * a.re, s * a.im}; }
+inline C mul(C a, C b) {
+  return {a.re * b.re - a.im * b.im, a.re * b.im + a.im * b.re};
+}
+inline C of(cd z) { return {z.real(), z.imag()}; }
+
+}  // namespace lane
+
+inline void lane_fft_combine2(double* out, long m, const cd* tw) {
+  constexpr long P = 2 * kLaneBlock;
+  for (long k = 0; k < m; ++k) {
+    double* x0 = out + P * k;
+    double* x1 = out + P * (m + k);
+    for (long l = 0; l < kLaneBlock; ++l) {
+      const lane::C t0 = lane::mul(lane::at(x0, l), lane::of(tw[k]));
+      const lane::C t1 = lane::mul(lane::at(x1, l), lane::of(tw[m + k]));
+      lane::put(x0, l, lane::add(t0, t1));
+      lane::put(x1, l, lane::sub(t0, t1));
+    }
+  }
+}
+
+inline void lane_fft_combine3(double* out, long m, const cd* tw, double sign) {
+  constexpr long P = 2 * kLaneBlock;
+  constexpr double kHalfSqrt3 = 0.86602540378443864676;
+  const lane::C w{0.0, sign * kHalfSqrt3};
+  for (long k = 0; k < m; ++k) {
+    double* x0 = out + P * k;
+    double* x1 = out + P * (m + k);
+    double* x2 = out + P * (2 * m + k);
+    for (long l = 0; l < kLaneBlock; ++l) {
+      const lane::C t0 = lane::mul(lane::at(x0, l), lane::of(tw[k]));
+      const lane::C t1 = lane::mul(lane::at(x1, l), lane::of(tw[m + k]));
+      const lane::C t2 = lane::mul(lane::at(x2, l), lane::of(tw[2 * m + k]));
+      const lane::C s = lane::add(t1, t2);
+      const lane::C d = lane::sub(t1, t2);
+      const lane::C a = lane::sub(t0, lane::scale(0.5, s));
+      const lane::C b = lane::mul(w, d);
+      lane::put(x0, l, lane::add(t0, s));
+      lane::put(x1, l, lane::add(a, b));
+      lane::put(x2, l, lane::sub(a, b));
+    }
+  }
+}
+
+inline void lane_fft_combine5(double* out, long m, const cd* tw, double sign) {
+  constexpr long P = 2 * kLaneBlock;
+  constexpr double c1 = 0.30901699437494742410;
+  constexpr double c2 = -0.80901699437494742410;
+  constexpr double s1 = 0.95105651629515357212;
+  constexpr double s2 = 0.58778525229247312917;
+  const lane::C w{0.0, sign};
+  for (long k = 0; k < m; ++k) {
+    double* x[5];
+    for (long j = 0; j < 5; ++j) x[j] = out + P * (j * m + k);
+    for (long l = 0; l < kLaneBlock; ++l) {
+      lane::C t[5];
+      for (long j = 0; j < 5; ++j) {
+        t[j] = lane::mul(lane::at(x[j], l), lane::of(tw[j * m + k]));
+      }
+      const lane::C p1 = lane::add(t[1], t[4]), m1 = lane::sub(t[1], t[4]);
+      const lane::C p2 = lane::add(t[2], t[3]), m2 = lane::sub(t[2], t[3]);
+      lane::put(x[0], l, lane::add(lane::add(t[0], p1), p2));
+      const lane::C a1 = lane::add(lane::add(t[0], lane::scale(c1, p1)),
+                                   lane::scale(c2, p2));
+      const lane::C a2 = lane::add(lane::add(t[0], lane::scale(c2, p1)),
+                                   lane::scale(c1, p2));
+      const lane::C b1 = lane::mul(
+          w, lane::add(lane::scale(s1, m1), lane::scale(s2, m2)));
+      const lane::C b2 = lane::mul(
+          w, lane::sub(lane::scale(s2, m1), lane::scale(s1, m2)));
+      lane::put(x[1], l, lane::add(a1, b1));
+      lane::put(x[2], l, lane::add(a2, b2));
+      lane::put(x[3], l, lane::sub(a2, b2));
+      lane::put(x[4], l, lane::sub(a1, b1));
+    }
+  }
 }
 
 }  // namespace ncar::simd::scalar_ref

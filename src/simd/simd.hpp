@@ -38,6 +38,9 @@ enum class Backend {
 
 inline constexpr int kBackendCount = static_cast<int>(Backend::Avx512) + 1;
 
+/// Sequences per lane block of the lane_* kernels.
+inline constexpr long kLaneBlock = 8;
+
 /// One dispatchable kernel set. All pointers are always non-null.
 struct KernelTable {
   // --- streaming / memory ---------------------------------------------------
@@ -101,15 +104,29 @@ struct KernelTable {
   void (*fft_combine2)(cd* out, long m, const cd* tw);
   void (*fft_combine3)(cd* out, long m, const cd* tw, double sign);
   void (*fft_combine5)(cd* out, long m, const cd* tw, double sign);
-  /// acc[k] += g * p[k]  (complex * real, componentwise)
-  void (*axpy_cd_r)(cd* acc, cd g, const double* p, long n);
-  /// Fixed-order reduction sum_k s[k]*p[k]: products may be vectorised, the
-  /// accumulation is sequential in k (bit-identical to the scalar loop).
-  cd (*dot_cd_r)(const cd* s, const double* p, long n);
-  /// Two fixed-order reductions sharing one pass: sum s[k]*p[k] and
-  /// sum s[k]*d[k].
-  void (*dot2_cd_r)(const cd* s, const double* p, const double* d, long n,
-                    cd* out_p, cd* out_d);
+
+  // --- lanes: kLaneBlock independent sequences, one per lane ----------------
+  // CCM2's spectral transform runs kLaneBlock latitudes at once (DESIGN.md
+  // section 12.6). A lane block `p` of a Legendre column holds coefficient k
+  // of lane l at p[k*kLaneBlock + l]; a lane point of an FFT holds the
+  // kLaneBlock real parts, then the kLaneBlock imaginary parts. Every lane
+  // does exactly the arithmetic, in exactly the order, of the one-sequence
+  // code it replaced, so each lane's bits are that code's bits.
+  /// Per lane l: out[l] = sum_k s[k].re*p[k*8+l] and
+  /// out[8+l] = sum_k s[k].im*p[k*8+l], each summed from +0.0 in k order.
+  void (*lane_dot_cd_r)(const cd* s, const double* p, long n, double* out);
+  /// lane_dot_cd_r against two lane blocks sharing one pass over s.
+  void (*lane_dot2_cd_r)(const cd* s, const double* p, const double* d,
+                         long n, double* out_p, double* out_d);
+  /// acc[k] += g[l] * p[k*8+l] for l = 0 .. lanes-1 in that order (complex
+  /// times real, componentwise); lanes >= `lanes` are never read.
+  void (*lane_axpy_cd_r)(cd* acc, const cd* g, const double* p, long n,
+                         long lanes);
+  /// fft_combine2/3/5 over lane points: 2*kLaneBlock doubles per point,
+  /// twiddles shared by every lane.
+  void (*lane_fft_combine2)(double* out, long m, const cd* tw);
+  void (*lane_fft_combine3)(double* out, long m, const cd* tw, double sign);
+  void (*lane_fft_combine5)(double* out, long m, const cd* tw, double sign);
 };
 
 /// Stable lowercase name ("scalar", "sse42", "avx2", "avx512").

@@ -9,6 +9,7 @@
 
 #include <vector>
 
+#include "simd/simd.hpp"
 #include "spectral/gauss.hpp"
 
 namespace ncar::spectral {
@@ -33,29 +34,46 @@ private:
   std::vector<int> offsets_;
 };
 
-/// Table of Pbar_n^m(mu_j) and (1 - mu^2) dPbar/dmu at each latitude.
+/// Table of Pbar_n^m(mu_j) and (1 - mu^2) dPbar/dmu at each latitude, in
+/// the blocked layout the spectral transform reads: latitudes are grouped
+/// into blocks of kLanes, and within a block coefficient k of latitude
+/// b*kLanes + l sits at [k][l], so one m-column of a block is a contiguous
+/// run of column_length(m) * kLanes doubles that a lane kernel reads as
+/// kLanes latitudes at once (DESIGN.md section 12.6). A ragged last block
+/// (nlat % kLanes != 0) pads its missing lanes with zeros.
 class LegendreTable {
 public:
+  static constexpr int kLanes = static_cast<int>(simd::kLaneBlock);
+
   LegendreTable(int truncation, const GaussNodes& nodes);
 
   int truncation() const { return index_.truncation(); }
   int nlat() const { return nlat_; }
   const TriangularIndex& index() const { return index_; }
 
+  /// Number of latitude blocks, ceil(nlat / kLanes).
+  int blocks() const { return blocks_; }
+  /// Latitudes in block b: kLanes, or fewer in a ragged last block.
+  int block_lanes(int b) const;
+
   /// Pbar_n^m at latitude j (flat coefficient indexing).
   double p(int j, int m, int n) const;
   /// (1 - mu^2) dPbar_n^m/dmu at latitude j.
   double dp(int j, int m, int n) const;
 
-  /// Contiguous m-column of Pbar values at latitude j (length T-m+1).
-  const double* p_column(int j, int m) const;
-  const double* dp_column(int j, int m) const;
+  /// The m-column of block b: entry (n - m) * kLanes + l is the value at
+  /// latitude b * kLanes + l.
+  const double* p_block(int b, int m) const;
+  const double* dp_block(int b, int m) const;
 
 private:
+  std::size_t at(int j, int m, int n) const;
+
   TriangularIndex index_;
   int nlat_;
-  std::vector<double> p_;   // [lat][coeff]
-  std::vector<double> dp_;  // [lat][coeff]
+  int blocks_;
+  std::vector<double> p_;   // [lat block][coeff][lane]
+  std::vector<double> dp_;  // [lat block][coeff][lane]
 };
 
 /// Compute the full vector of Pbar_n^m(mu) for one mu (testing hook and

@@ -8,6 +8,12 @@
 // coefficients S(m, n), 0 <= m <= n <= T, with the m < 0 half implied by
 // conjugate symmetry. Analysis followed by synthesis is the identity for
 // fields band-limited to the truncation (tested).
+//
+// Every stage runs LegendreTable::kLanes latitudes at once, one per SIMD
+// lane (DESIGN.md section 12.6): the Legendre sums read the table's blocked
+// layout through the lane kernels, and the longitude FFTs are fft::Plan's
+// multi-instance transforms. Each lane does exactly the arithmetic of a
+// one-latitude transform, so the results are those of one, bit for bit.
 
 #include <complex>
 #include <span>
@@ -49,6 +55,21 @@ public:
   void synthesis_gradient(std::span<const cd> spec, Array2D<double>& dlam,
                           Array2D<double>& dmu) const;
 
+  /// One field of synthesis_gradients(): its spectrum and the grids that
+  /// take d/dlambda and (1-mu^2) d/dmu.
+  struct GradientField {
+    std::span<const cd> spec;
+    Array2D<double>* dlam;
+    Array2D<double>* dmu;
+  };
+  static constexpr std::size_t kMaxGradientFields = 2;
+
+  /// synthesis_gradient() of up to kMaxGradientFields fields in one pass
+  /// over the Legendre table: each m-column of a latitude block comes from
+  /// memory once and from cache for the other fields. Every output has the
+  /// bits of the one-field calls.
+  void synthesis_gradients(std::span<const GradientField> fields) const;
+
   /// In-place spectral Laplacian: S(m,n) *= -n(n+1)/radius^2.
   void laplacian(std::span<cd> spec, double radius) const;
 
@@ -60,11 +81,12 @@ public:
   double transform_flops() const;
 
 private:
-  /// Half-spectrum Fourier coefficients per latitude: fm(m, j), m <= T.
-  /// Every entry of `fm` is written (callers pass uninitialised arena
-  /// spans).
-  void fourier_analysis(const Array2D<double>& grid, std::span<cd> fm) const;
-  void fourier_synthesis(std::span<const cd> fm, Array2D<double>& grid) const;
+  /// Longitude synthesis of latitude block b: `spec` holds nlon lane points
+  /// whose first T+1 are the block's Fourier coefficients times nlon (the
+  /// rest is overwritten); `work` is nlon lane points of scratch. Writes the
+  /// block's latitudes of `grid`.
+  void block_synthesis(int b, std::span<double> spec, std::span<double> work,
+                       Array2D<double>& grid) const;
 
   GaussNodes nodes_;
   LegendreTable table_;

@@ -5,6 +5,7 @@
 #include <cmath>
 
 #include "common/error.hpp"
+#include "simd/simd.hpp"
 #include "sxs/machine_config.hpp"
 #include "trace/category.hpp"
 #include "trace/collector.hpp"
@@ -94,7 +95,57 @@ TEST_F(Ccm2Test, DeterministicChecksum) {
   const double ca = a.checksum();
   ccm2::Ccm2 b(small_config(), node);
   for (int s = 0; s < 10; ++s) b.step(4);  // CPU count must not change physics
-  EXPECT_DOUBLE_EQ(ca, b.checksum());
+  EXPECT_EQ(ca, b.checksum());
+}
+
+TEST_F(Ccm2Test, GoldenStateIsBitExactUnderEveryBackend) {
+  // Hexfloat literals taken from the one-latitude-at-a-time spectral
+  // transform; the lane-blocked transform must reproduce them bit for bit.
+  const simd::Backend before = simd::active();
+  for (int b = 0; b < simd::kBackendCount; ++b) {
+    const auto backend = static_cast<simd::Backend>(b);
+    if (!simd::supported(backend)) continue;
+    simd::set_backend(backend);
+    SCOPED_TRACE(simd::to_string(backend));
+
+    ccm2::Ccm2 t21(small_config(), node);
+    for (int s = 0; s < 10; ++s) t21.step(1);
+    EXPECT_EQ(t21.checksum(), 0x1.80ff522789793p+4);
+    EXPECT_EQ(t21.energy(), 0x1.0cd91a9adb3fp+8);
+    EXPECT_EQ(t21.enstrophy(), 0x1.f4a17fbb1e7a2p-35);
+    EXPECT_EQ(t21.moisture_mass(0), 0x1.011786ef477ccp-6);
+    EXPECT_EQ(t21.moisture_mass(1), 0x1.a4997aa910548p-7);
+    EXPECT_EQ(t21.temperature(0)(5, 3), 0x1.fd2d20f64eacap+7);
+
+    // 13 latitudes: one full block of 8 and a ragged block of 5.
+    auto rc = small_config();
+    rc.res.name = "T10L2-ragged";
+    rc.res.truncation = 10;
+    rc.res.nlat = 13;
+    rc.res.nlon = 24;
+    rc.res.nlev = 2;
+    ccm2::Ccm2 ragged(rc, node);
+    for (int s = 0; s < 10; ++s) ragged.step(1);
+    EXPECT_EQ(ragged.checksum(), 0x1.e01d292d81a6ap+1);
+    EXPECT_EQ(ragged.energy(), 0x1.f9ced203215c3p+7);
+    EXPECT_EQ(ragged.enstrophy(), 0x1.859ab8682a921p-35);
+    EXPECT_EQ(ragged.moisture_mass(0), 0x1.00d34a5ee5571p-6);
+    EXPECT_EQ(ragged.moisture_mass(1), 0x1.a42c9035b83cap-7);
+    EXPECT_EQ(ragged.temperature(0)(5, 3), 0x1.0eb1ac60a9956p+8);
+
+    // fig8_ccm2's T170 configuration.
+    ccm2::Ccm2Config fc;
+    fc.res = ccm2::t170l18();
+    fc.active_levels = 1;
+    ccm2::Ccm2 t170(fc, node);
+    for (int s = 0; s < 2; ++s) t170.step(1);
+    EXPECT_EQ(t170.checksum(), 0x1.a2086e4e23aa8p+9);
+    EXPECT_EQ(t170.energy(), 0x1.0e043b60d5a2ap+8);
+    EXPECT_EQ(t170.enstrophy(), 0x1.fd13ac2d556e5p-35);
+    EXPECT_EQ(t170.moisture_mass(0), 0x1.015bac9d16d42p-6);
+    EXPECT_EQ(t170.temperature(0)(5, 3), 0x1.f425d81285002p+7);
+  }
+  simd::set_backend(before);
 }
 
 TEST_F(Ccm2Test, ResetRestoresInitialState) {

@@ -2,10 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -148,6 +151,66 @@ TEST_P(FftLengthParam, InverseRecoversInputTimesN) {
     const cd want = x[static_cast<std::size_t>(j)] * static_cast<double>(n);
     EXPECT_NEAR(std::abs(back[static_cast<std::size_t>(j)] - want), 0.0, 1e-9 * n);
   }
+}
+
+TEST_P(FftLengthParam, LaneTransformsMatchOneSequenceBits) {
+  // The multi-instance transforms give every lane exactly the bits the
+  // one-sequence transform gives it, under every backend.
+  constexpr long L = simd::kLaneBlock;
+  const long n = GetParam();
+  Plan p(n);
+  std::vector<std::vector<cd>> seqs;
+  for (long l = 0; l < L; ++l) {
+    seqs.push_back(
+        random_signal(n, 3000 + static_cast<std::uint64_t>(n * L + l)));
+  }
+  seqs[1][0] = cd(-0.0, 0.0);  // a signed zero travels like any other value
+  std::vector<double> in(static_cast<std::size_t>(n * Plan::kLanePoint));
+  for (long k = 0; k < n; ++k) {
+    for (long l = 0; l < L; ++l) {
+      in[static_cast<std::size_t>(k * Plan::kLanePoint + l)] =
+          seqs[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)].real();
+      in[static_cast<std::size_t>(k * Plan::kLanePoint + L + l)] =
+          seqs[static_cast<std::size_t>(l)][static_cast<std::size_t>(k)].imag();
+    }
+  }
+  const simd::Backend before = simd::active();
+  for (int b = 0; b < simd::kBackendCount; ++b) {
+    const auto backend = static_cast<simd::Backend>(b);
+    if (!simd::supported(backend)) continue;
+    simd::set_backend(backend);
+    for (const bool inverse : {false, true}) {
+      std::vector<double> out(in.size());
+      if (inverse) {
+        p.inverse_lanes(in, out);
+      } else {
+        p.forward_lanes(in, out);
+      }
+      for (long l = 0; l < L; ++l) {
+        std::vector<cd> want(static_cast<std::size_t>(n));
+        if (inverse) {
+          p.inverse(seqs[static_cast<std::size_t>(l)], want);
+        } else {
+          p.forward(seqs[static_cast<std::size_t>(l)], want);
+        }
+        for (long k = 0; k < n; ++k) {
+          const cd w = want[static_cast<std::size_t>(k)];
+          const double* pt = out.data() + k * Plan::kLanePoint;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(w.real()),
+                    std::bit_cast<std::uint64_t>(pt[l]))
+              << simd::to_string(backend) << " n=" << n << " lane " << l
+              << " k=" << k;
+          EXPECT_EQ(std::bit_cast<std::uint64_t>(w.imag()),
+                    std::bit_cast<std::uint64_t>(pt[L + l]))
+              << simd::to_string(backend) << " n=" << n << " lane " << l
+              << " k=" << k;
+        }
+      }
+    }
+  }
+  simd::set_backend(before);
+  std::vector<double> small(in.size() - 1);
+  EXPECT_THROW(p.forward_lanes(in, small), ncar::precondition_error);
 }
 
 INSTANTIATE_TEST_SUITE_P(MixedRadixLengths, FftLengthParam,

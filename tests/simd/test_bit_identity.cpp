@@ -47,6 +47,8 @@ template <typename T>
 void expect_bits_equal(const std::vector<T>& a, const std::vector<T>& b,
                        Backend backend, long n, const char* kernel) {
   ASSERT_EQ(a.size(), b.size());
+  // memcmp must not see an empty vector's null data().
+  if (a.empty()) return;
   EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(T)), 0)
       << kernel << " diverges from scalar on " << simd::to_string(backend)
       << " at n=" << n;
@@ -260,34 +262,185 @@ TEST(SimdBitIdentity, FftCombineKernels) {
   });
 }
 
+// Puts a NaN and a -0.0 at the front of v (no infinities anywhere, so every
+// NaN the kernels produce carries this one bit pattern and the comparison
+// can be bitwise).
+void seed_specials(std::vector<double>& v) {
+  if (!v.empty()) v[0] = std::numeric_limits<double>::quiet_NaN();
+  if (v.size() > 1) v[1] = -0.0;
+}
+
+std::vector<double> lane_column(const std::vector<double>& p, long n, long l) {
+  std::vector<double> col(static_cast<std::size_t>(n));
+  for (long k = 0; k < n; ++k) {
+    col[static_cast<std::size_t>(k)] =
+        p[static_cast<std::size_t>(k * simd::kLaneBlock + l)];
+  }
+  return col;
+}
+
 TEST(SimdBitIdentity, ComplexAccumulationKernels) {
+  constexpr long L = simd::kLaneBlock;
   for_each_backend_and_size([](const simd::KernelTable& ref,
                                const simd::KernelTable& kt, Backend b,
                                long n) {
     Rng rng(29);
-    const auto s = random_cvec(rng, n);
-    const auto p = random_vec(rng, n);
-    const auto d = random_vec(rng, n);
-    auto acc_a = random_cvec(rng, n);
-    auto acc_c = acc_a;
-    const cd g(0.37, -1.21);
-    ref.axpy_cd_r(acc_a.data(), g, p.data(), n);
-    kt.axpy_cd_r(acc_c.data(), g, p.data(), n);
-    expect_bits_equal(acc_a, acc_c, b, n, "axpy_cd_r");
+    for (const bool specials : {false, true}) {
+      auto s = random_cvec(rng, n);
+      auto p = random_vec(rng, n * L);
+      auto d = random_vec(rng, n * L);
+      if (specials) {
+        if (n > 0) s[0] = cd(-0.0, 0.5);
+        if (n > 2) s[2] = cd(std::numeric_limits<double>::quiet_NaN(), -0.0);
+        seed_specials(p);
+        seed_specials(d);
+      }
+      std::vector<double> oa(2 * L), oc(2 * L), da(2 * L), dc(2 * L);
+      ref.lane_dot_cd_r(s.data(), p.data(), n, oa.data());
+      kt.lane_dot_cd_r(s.data(), p.data(), n, oc.data());
+      expect_bits_equal(oa, oc, b, n, "lane_dot_cd_r");
+      ref.lane_dot2_cd_r(s.data(), p.data(), d.data(), n, oa.data(),
+                         da.data());
+      kt.lane_dot2_cd_r(s.data(), p.data(), d.data(), n, oc.data(), dc.data());
+      expect_bits_equal(oa, oc, b, n, "lane_dot2_cd_r (p)");
+      expect_bits_equal(da, dc, b, n, "lane_dot2_cd_r (d)");
 
-    const cd dot_a = ref.dot_cd_r(s.data(), p.data(), n);
-    const cd dot_c = kt.dot_cd_r(s.data(), p.data(), n);
-    EXPECT_EQ(std::memcmp(&dot_a, &dot_c, sizeof(cd)), 0)
-        << "dot_cd_r diverges on " << simd::to_string(b) << " at n=" << n;
-
-    cd pa, da, pc, dc;
-    ref.dot2_cd_r(s.data(), p.data(), d.data(), n, &pa, &da);
-    kt.dot2_cd_r(s.data(), p.data(), d.data(), n, &pc, &dc);
-    EXPECT_EQ(std::memcmp(&pa, &pc, sizeof(cd)), 0)
-        << "dot2_cd_r (p) diverges on " << simd::to_string(b) << " n=" << n;
-    EXPECT_EQ(std::memcmp(&da, &dc, sizeof(cd)), 0)
-        << "dot2_cd_r (d) diverges on " << simd::to_string(b) << " n=" << n;
+      const auto g = random_cvec(rng, L);
+      for (const long lanes : {0L, 1L, 5L, L}) {
+        auto acc_a = random_cvec(rng, n);
+        if (specials && n > 1) acc_a[1] = cd(-0.0, -0.0);
+        auto acc_c = acc_a;
+        ref.lane_axpy_cd_r(acc_a.data(), g.data(), p.data(), n, lanes);
+        kt.lane_axpy_cd_r(acc_c.data(), g.data(), p.data(), n, lanes);
+        expect_bits_equal(acc_a, acc_c, b, n, "lane_axpy_cd_r");
+      }
+    }
   });
+}
+
+// The scalar lane kernels are, lane by lane, the one-latitude loops they
+// replaced: a std::complex accumulation of s[k] * p[k] from zero in k order,
+// and acc[k] += g * p[k] one latitude after another.
+TEST(SimdBitIdentity, LaneKernelsMatchOneLatitudeLoops) {
+  constexpr long L = simd::kLaneBlock;
+  const simd::KernelTable& ref = simd::scalar_table();
+  Rng rng(31);
+  for (long n : kSizes) {
+    auto s = random_cvec(rng, n);
+    auto p = random_vec(rng, n * L);
+    if (n > 0) s[0] = cd(-0.0, std::numeric_limits<double>::quiet_NaN());
+    seed_specials(p);
+    std::vector<double> out(2 * L);
+    ref.lane_dot_cd_r(s.data(), p.data(), n, out.data());
+    const auto g = random_cvec(rng, L);
+    auto acc = random_cvec(rng, n);
+    auto want_acc = acc;
+    ref.lane_axpy_cd_r(acc.data(), g.data(), p.data(), n, 6);
+    for (long l = 0; l < L; ++l) {
+      const auto col = lane_column(p, n, l);
+      cd want(0, 0);
+      for (long k = 0; k < n; ++k) {
+        want += s[static_cast<std::size_t>(k)] *
+                col[static_cast<std::size_t>(k)];
+      }
+      const cd got(out[static_cast<std::size_t>(l)],
+                   out[static_cast<std::size_t>(L + l)]);
+      EXPECT_EQ(std::memcmp(&want, &got, sizeof(cd)), 0) << "n=" << n;
+      if (l < 6) {
+        for (long k = 0; k < n; ++k) {
+          want_acc[static_cast<std::size_t>(k)] +=
+              g[static_cast<std::size_t>(l)] * col[static_cast<std::size_t>(k)];
+        }
+      }
+    }
+    expect_bits_equal(want_acc, acc, Backend::Scalar, n, "lane_axpy_cd_r");
+  }
+}
+
+// Lane points with random lanes; when `specials`, lane 3 of the first point
+// carries a NaN and lane 5 a -0.0.
+std::vector<double> random_lane_points(Rng& rng, long points, bool specials) {
+  auto v = random_vec(rng, points * ncar::fft::Plan::kLanePoint);
+  if (specials && points > 0) {
+    v[3] = std::numeric_limits<double>::quiet_NaN();
+    v[simd::kLaneBlock + 3] = std::numeric_limits<double>::quiet_NaN();
+    v[5] = -0.0;
+  }
+  return v;
+}
+
+void lane_combine(const simd::KernelTable& kt, int f, double* out, long m,
+                  const cd* tw, double sign) {
+  if (f == 2) {
+    kt.lane_fft_combine2(out, m, tw);
+  } else if (f == 3) {
+    kt.lane_fft_combine3(out, m, tw, sign);
+  } else {
+    kt.lane_fft_combine5(out, m, tw, sign);
+  }
+}
+
+TEST(SimdBitIdentity, LaneFftCombineKernels) {
+  for_each_backend_and_size([](const simd::KernelTable& ref,
+                               const simd::KernelTable& kt, Backend b,
+                               long m) {
+    if (m == 0) return;
+    Rng rng(37);
+    for (const int f : {2, 3, 5}) {
+      const auto tw = random_cvec(rng, f * m);
+      for (const bool specials : {false, true}) {
+        const auto data = random_lane_points(rng, f * m, specials);
+        for (const double sign : {-1.0, 1.0}) {
+          auto a = data;
+          auto c = data;
+          lane_combine(ref, f, a.data(), m, tw.data(), sign);
+          lane_combine(kt, f, c.data(), m, tw.data(), sign);
+          expect_bits_equal(a, c, b, m, "lane_fft_combine");
+        }
+      }
+    }
+  });
+}
+
+// With finite operands each lane of a lane combine is the one-sequence
+// combine of that lane.
+TEST(SimdBitIdentity, LaneFftCombineMatchesOneSequenceCombine) {
+  constexpr long L = simd::kLaneBlock;
+  const simd::KernelTable& ref = simd::scalar_table();
+  Rng rng(41);
+  for (long m : {1L, 2L, 7L, 16L}) {
+    for (const int f : {2, 3, 5}) {
+      const auto tw = random_cvec(rng, f * m);
+      auto pts = random_lane_points(rng, f * m, false);
+      pts[2] = -0.0;
+      for (const double sign : {-1.0, 1.0}) {
+        auto lanes = pts;
+        lane_combine(ref, f, lanes.data(), m, tw.data(), sign);
+        for (long l = 0; l < L; ++l) {
+          std::vector<cd> one(static_cast<std::size_t>(f * m));
+          for (long k = 0; k < f * m; ++k) {
+            const double* pt = pts.data() + k * 2 * L;
+            one[static_cast<std::size_t>(k)] = cd(pt[l], pt[L + l]);
+          }
+          if (f == 2) {
+            ref.fft_combine2(one.data(), m, tw.data());
+          } else if (f == 3) {
+            ref.fft_combine3(one.data(), m, tw.data(), sign);
+          } else {
+            ref.fft_combine5(one.data(), m, tw.data(), sign);
+          }
+          for (long k = 0; k < f * m; ++k) {
+            const double* pt = lanes.data() + k * 2 * L;
+            const cd got(pt[l], pt[L + l]);
+            EXPECT_EQ(std::memcmp(&got, &one[static_cast<std::size_t>(k)],
+                                  sizeof(cd)),
+                      0)
+                << "f=" << f << " m=" << m << " lane " << l << " k=" << k;
+          }
+        }
+      }
+    }
+  }
 }
 
 // End-to-end: a full mixed-radix FFT and the RADABS kernel produce

@@ -118,9 +118,12 @@ TEST(SimdDispatch, EveryTablePointerIsNonNull) {
     EXPECT_NE(kt.fft_combine2, nullptr);
     EXPECT_NE(kt.fft_combine3, nullptr);
     EXPECT_NE(kt.fft_combine5, nullptr);
-    EXPECT_NE(kt.axpy_cd_r, nullptr);
-    EXPECT_NE(kt.dot_cd_r, nullptr);
-    EXPECT_NE(kt.dot2_cd_r, nullptr);
+    EXPECT_NE(kt.lane_dot_cd_r, nullptr);
+    EXPECT_NE(kt.lane_dot2_cd_r, nullptr);
+    EXPECT_NE(kt.lane_axpy_cd_r, nullptr);
+    EXPECT_NE(kt.lane_fft_combine2, nullptr);
+    EXPECT_NE(kt.lane_fft_combine3, nullptr);
+    EXPECT_NE(kt.lane_fft_combine5, nullptr);
   }
 }
 

@@ -98,10 +98,18 @@ TEST_F(LegendreTableTest, DerivativeMatchesFiniteDifference) {
 }
 
 TEST_F(LegendreTableTest, ColumnsAreContiguous) {
-  for (int m : {0, 7}) {
-    const double* col = table.p_column(5, m);
-    for (int n = m; n <= kT; ++n) {
-      EXPECT_DOUBLE_EQ(col[n - m], table.p(5, m, n));
+  // One m-column of a latitude block is [n - m][lane], for P and dP alike.
+  constexpr int L = LegendreTable::kLanes;
+  for (int b = 0; b < table.blocks(); ++b) {
+    for (int m : {0, 7}) {
+      const double* col = table.p_block(b, m);
+      const double* dcol = table.dp_block(b, m);
+      for (int n = m; n <= kT; ++n) {
+        for (int l = 0; l < table.block_lanes(b); ++l) {
+          EXPECT_EQ(col[(n - m) * L + l], table.p(b * L + l, m, n));
+          EXPECT_EQ(dcol[(n - m) * L + l], table.dp(b * L + l, m, n));
+        }
+      }
     }
   }
 }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
+#include "fft/real_fft.hpp"
+#include "simd/simd.hpp"
 
 namespace {
 
@@ -180,6 +184,156 @@ TEST_F(ShtTest, MuGradientMatchesLegendreDifference) {
     const double want = std::sqrt(5.0) * 3.0 * mu * (1.0 - mu * mu);
     EXPECT_NEAR(dmu(0, j), want, 1e-10);
   }
+}
+
+// The transforms as they were written one latitude at a time: std::complex
+// Legendre sums over table.p/dp in k order, one real FFT per row, and the
+// analysis summing latitudes j = 0, 1, ... in turn. The lane transforms
+// must reproduce every bit of it.
+struct PerLatitudeReference {
+  const ShTransform& sht;
+
+  cd dot(std::span<const cd> s, int j, int m, bool derivative) const {
+    const auto& table = sht.table();
+    cd acc(0, 0);
+    for (int n = m; n <= sht.truncation(); ++n) {
+      const double p = derivative ? table.dp(j, m, n) : table.p(j, m, n);
+      acc += s[static_cast<std::size_t>(sht.index().at(m, n))] * p;
+    }
+    return acc;
+  }
+
+  // fm(m) -> one grid row, through fft::real_inverse.
+  void row(const std::vector<cd>& fm, Array2D<double>& grid, int j) const {
+    const fft::Plan plan(sht.nlon());
+    std::vector<cd> spec(
+        static_cast<std::size_t>(fft::spectrum_size(sht.nlon())), cd(0, 0));
+    for (int m = 0; m <= sht.truncation(); ++m) {
+      spec[static_cast<std::size_t>(m)] =
+          fm[static_cast<std::size_t>(m)] * static_cast<double>(sht.nlon());
+    }
+    fft::real_inverse(plan, spec, grid.column(static_cast<std::size_t>(j)));
+  }
+
+  void synthesis(std::span<const cd> s, Array2D<double>& grid) const {
+    std::vector<cd> fm(static_cast<std::size_t>(sht.truncation() + 1));
+    for (int j = 0; j < sht.nlat(); ++j) {
+      for (int m = 0; m <= sht.truncation(); ++m) {
+        fm[static_cast<std::size_t>(m)] = dot(s, j, m, false);
+      }
+      row(fm, grid, j);
+    }
+  }
+
+  void synthesis_gradient(std::span<const cd> s, Array2D<double>& dlam,
+                          Array2D<double>& dmu) const {
+    std::vector<cd> fl(static_cast<std::size_t>(sht.truncation() + 1));
+    std::vector<cd> fmu(fl);
+    for (int j = 0; j < sht.nlat(); ++j) {
+      for (int m = 0; m <= sht.truncation(); ++m) {
+        fl[static_cast<std::size_t>(m)] =
+            cd(0, 1) * static_cast<double>(m) * dot(s, j, m, false);
+        fmu[static_cast<std::size_t>(m)] = dot(s, j, m, true);
+      }
+      row(fl, dlam, j);
+      row(fmu, dmu, j);
+    }
+  }
+
+  void analysis(const Array2D<double>& grid, std::vector<cd>& spec) const {
+    const fft::Plan plan(sht.nlon());
+    std::vector<cd> row(
+        static_cast<std::size_t>(fft::spectrum_size(sht.nlon())));
+    for (auto& z : spec) z = cd(0, 0);
+    for (int j = 0; j < sht.nlat(); ++j) {
+      fft::real_forward(plan, grid.column(static_cast<std::size_t>(j)), row);
+      const double w = 0.5 * sht.nodes().weight[static_cast<std::size_t>(j)];
+      for (int m = 0; m <= sht.truncation(); ++m) {
+        const cd g = w * (row[static_cast<std::size_t>(m)] /
+                          static_cast<double>(sht.nlon()));
+        for (int n = m; n <= sht.truncation(); ++n) {
+          spec[static_cast<std::size_t>(sht.index().at(m, n))] +=
+              g * sht.table().p(j, m, n);
+        }
+      }
+    }
+    for (int n = 0; n <= sht.truncation(); ++n) {
+      auto& z = spec[static_cast<std::size_t>(sht.index().at(0, n))];
+      z = cd(z.real(), 0.0);
+    }
+  }
+};
+
+void expect_same_bits(std::span<const double> want,
+                      std::span<const double> got, const char* what) {
+  ASSERT_EQ(want.size(), got.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(want[i]),
+              std::bit_cast<std::uint64_t>(got[i]))
+        << what << " at " << i << ": " << want[i] << " vs " << got[i];
+  }
+}
+
+TEST_F(ShtTest, LaneTransformsMatchPerLatitudeReferenceAtRaggedNlat) {
+  // nlat % 8 != 0 leaves a ragged last latitude block (5 lanes and 1 lane);
+  // nlon = 24 and 20 bring in the radix-3 and radix-5 combines.
+  struct Grid {
+    int t, nlat, nlon;
+  };
+  const simd::Backend before = simd::active();
+  for (const Grid g : {Grid{10, 13, 24}, Grid{7, 9, 20}}) {
+    const ShTransform sht(g.t, g.nlat, g.nlon);
+    const PerLatitudeReference ref{sht};
+    Rng rng(99);
+    std::vector<cd> s(static_cast<std::size_t>(sht.spec_size()));
+    for (auto& z : s) z = cd(rng.uniform(-1, 1), rng.uniform(-1, 1));
+    s[1] = cd(-0.0, 0.25);
+    Array2D<double> field(static_cast<std::size_t>(g.nlon),
+                          static_cast<std::size_t>(g.nlat));
+    for (double& v : field.flat()) v = rng.uniform(-2, 2);
+    field(3, 0) = -0.0;
+
+    std::vector<cd> s2(s.size());
+    for (auto& z : s2) z = cd(rng.uniform(-1, 1), rng.uniform(-1, 1));
+
+    Array2D<double> want(field.ni(), field.nj());
+    Array2D<double> want2(want), got(want), got2(want);
+    Array2D<double> got3(want), got4(want);
+    std::vector<cd> want_spec(s.size()), got_spec(s.size());
+    for (int b = 0; b < simd::kBackendCount; ++b) {
+      const auto backend = static_cast<simd::Backend>(b);
+      if (!simd::supported(backend)) continue;
+      simd::set_backend(backend);
+      SCOPED_TRACE(std::string(simd::to_string(backend)) + " T" +
+                   std::to_string(g.t));
+      ref.synthesis(s, want);
+      sht.synthesis(s, got);
+      expect_same_bits(want.flat(), got.flat(), "synthesis");
+      ref.synthesis_gradient(s, want, want2);
+      sht.synthesis_gradient(s, got, got2);
+      expect_same_bits(want.flat(), got.flat(), "synthesis_gradient dlam");
+      expect_same_bits(want2.flat(), got2.flat(), "synthesis_gradient dmu");
+      // Two fields in one pass.
+      got.fill(std::nan(""));
+      got2.fill(std::nan(""));
+      const ShTransform::GradientField fields[] = {{s2, &got3, &got4},
+                                                   {s, &got, &got2}};
+      sht.synthesis_gradients(fields);
+      expect_same_bits(want.flat(), got.flat(), "synthesis_gradients dlam");
+      expect_same_bits(want2.flat(), got2.flat(), "synthesis_gradients dmu");
+      ref.synthesis_gradient(s2, want, want2);
+      expect_same_bits(want.flat(), got3.flat(), "synthesis_gradients dlam 2");
+      expect_same_bits(want2.flat(), got4.flat(), "synthesis_gradients dmu 2");
+      ref.analysis(field, want_spec);
+      sht.analysis(field, got_spec);
+      const auto as_doubles = [](const std::vector<cd>& v) {
+        return std::span<const double>(
+            reinterpret_cast<const double*>(v.data()), 2 * v.size());
+      };
+      expect_same_bits(as_doubles(want_spec), as_doubles(got_spec), "analysis");
+    }
+  }
+  simd::set_backend(before);
 }
 
 TEST(Sht, PaperResolutionsConstruct) {
